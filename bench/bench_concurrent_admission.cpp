@@ -153,14 +153,15 @@ int main(int argc, char** argv) {
       live_ctl = &ctl;
     }
     std::vector<Churn> churn(threads);
-    std::vector<std::vector<traffic::FlowId>> held(threads);
     util::ThreadPool pool(threads);
 
     const auto start = std::chrono::steady_clock::now();
     pool.parallel_for(threads, [&](std::size_t t) {
       util::Xoshiro256 rng(0xBEEF + t);
-      auto& mine = held[t];
-      Churn& c = churn[t];
+      // Thread-local tallies, copied out once: adjacent per-thread slots
+      // written every op would false-share and cap the multi-thread rows.
+      std::vector<traffic::FlowId> mine;
+      Churn c;
       for (std::size_t k = 0; k < ops_per_thread; ++k) {
         if (!mine.empty() && rng.bernoulli(0.4)) {
           const auto pos = rng.uniform_index(mine.size());
@@ -179,6 +180,7 @@ int main(int argc, char** argv) {
           }
         }
       }
+      churn[t] = c;
     });
     const std::chrono::duration<double> wall =
         std::chrono::steady_clock::now() - start;

@@ -1,6 +1,7 @@
 #include "admission/controller.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 #include "admission/telemetry.hpp"
@@ -8,6 +9,23 @@
 #include "telemetry/span.hpp"
 
 namespace ubac::admission {
+
+namespace {
+
+std::atomic<std::uint64_t> g_next_controller_uid{1};
+std::atomic<std::uint64_t> g_next_thread_token{1};
+
+/// This thread's lane on the controller it last admitted through. One
+/// entry is enough for the common one-controller-per-worker shape; a
+/// thread alternating controllers re-finds its lane by token (claim_lane).
+struct LaneCache {
+  std::uint64_t controller = 0;  ///< uid_ of the controller, 0 = none
+  std::uint32_t lane = 0;
+};
+thread_local LaneCache t_lane_cache;
+thread_local std::uint64_t t_thread_token = 0;  ///< 0 until first claim
+
+}  // namespace
 
 const char* to_string(AdmissionOutcome outcome) {
   switch (outcome) {
@@ -25,7 +43,8 @@ ConcurrentAdmissionController::ConcurrentAdmissionController(
     : graph_(&graph), classes_(&classes), table_(std::move(table)),
       servers_(graph.size()),
       slots_(std::make_unique<Slot[]>(classes.size() * graph.size())),
-      shards_(std::make_unique<Shard[]>(kShardCount)) {
+      lanes_(std::make_unique<Lane[]>(kLaneCount)),
+      uid_(g_next_controller_uid.fetch_add(1, std::memory_order_relaxed)) {
   // The fixed-point overflow proof (traffic/flow.hpp) only covers graphs
   // within the grid's static bounds; refuse anything larger up front.
   if (servers_ > traffic::kMaxServers)
@@ -55,10 +74,13 @@ ConcurrentAdmissionController::ConcurrentAdmissionController(
           std::memory_order_relaxed);
   }
 
+  for (std::size_t l = 0; l < kLaneCount; ++l)
+    lanes_[l].last_id = static_cast<traffic::FlowId>(l) << kLaneShift;
+
   // Dense route index: one cell load plus a flat hop-array walk instead of
   // a hash lookup and a pointer chase through the table's nodes on every
-  // request. Only built when the (class, node, node) cube is small enough
-  // that the memory is trivial; sparse/huge id spaces keep the hash path.
+  // request. Every topology the repo builds numbers its nodes densely, so
+  // the (class, node, node) cube stays small; sparse ids are refused.
   net::NodeId max_node = 0;
   std::size_t total_hops = 0;
   table_.for_each([&](net::NodeId src, net::NodeId dst, std::size_t,
@@ -67,29 +89,31 @@ ConcurrentAdmissionController::ConcurrentAdmissionController(
     total_hops += route.size();
   });
   const std::size_t stride = static_cast<std::size_t>(max_node) + 1;
-  const std::size_t cells = classes.size() * stride * stride;
-  if (table_.size() != 0 && cells <= (std::size_t{1} << 22)) {
-    index_nodes_ = static_cast<std::uint32_t>(stride);
-    route_index_.assign(cells, RouteRef{});
-    // The arena is sized up front so the hop pointers stored in the cells
-    // never dangle from reallocation.
-    route_arena_.reserve(total_hops);
-    table_.for_each([&](net::NodeId src, net::NodeId dst, std::size_t c,
-                        const net::ServerPath& route) {
-      if (c >= classes.size()) return;  // unconfigured class: hash fallback
-      const std::size_t offset = route_arena_.size();
-      // slot-index translation done once here: indices are bounded by
-      // classes*servers_, the extent of the slots_ allocation itself.
-      for (const net::ServerId s : route)
-        route_arena_.push_back(static_cast<std::uint32_t>(c * servers_ + s));
-      RouteRef ref;
-      ref.slots = route_arena_.data() + offset;
-      ref.len = static_cast<std::uint32_t>(route.size());
-      ref.first = route.empty() ? 0 : route_arena_[offset];
-      ref.path = &route;
-      route_index_[(c * stride + src) * stride + dst] = ref;
-    });
-  }
+  if (stride > kMaxRouteCells ||
+      classes.size() * stride * stride > kMaxRouteCells)
+    throw std::invalid_argument(
+        "ConcurrentAdmissionController: route index exceeds kMaxRouteCells "
+        "(node ids too sparse)");
+  index_nodes_ = static_cast<std::uint32_t>(stride);
+  route_index_.assign(classes.size() * stride * stride, RouteRef{});
+  // The arena is sized up front so the hop pointers stored in the cells
+  // never dangle from reallocation.
+  route_arena_.reserve(total_hops);
+  table_.for_each([&](net::NodeId src, net::NodeId dst, std::size_t c,
+                      const net::ServerPath& route) {
+    if (c >= classes.size()) return;  // unconfigured class: never routed
+    const std::size_t offset = route_arena_.size();
+    // slot-index translation done once here: indices are bounded by
+    // classes*servers_, the extent of the slots_ allocation itself.
+    for (const net::ServerId s : route)
+      route_arena_.push_back(static_cast<std::uint32_t>(c * servers_ + s));
+    RouteRef ref;
+    ref.slots = route_arena_.data() + offset;
+    ref.len = static_cast<std::uint32_t>(route.size());
+    ref.first = route.empty() ? 0 : route_arena_[offset];
+    ref.path = &route;
+    route_index_[(c * stride + src) * stride + dst] = ref;
+  });
 }
 
 bool ConcurrentAdmissionController::try_reserve(Slot& s, RateFx rho,
@@ -97,7 +121,7 @@ bool ConcurrentAdmissionController::try_reserve(Slot& s, RateFx rho,
   // Relaxed ordering is sufficient: the safety invariant (reserved <= cap
   // at every instant) is a property of the values produced by this single
   // atomic object's RMW history, not of cross-object ordering. Per-flow
-  // data is published via the shard mutex, never via these counters.
+  // data is published via the lane mutex, never via these counters.
   // `cur + rho` cannot wrap: cur <= cap <= 2^51 and rho <= 2^52 saturated
   // demands never pass the guard (see traffic/flow.hpp overflow proof).
   RateFx cur = s.reserved.load(std::memory_order_relaxed);
@@ -121,25 +145,22 @@ bool ConcurrentAdmissionController::try_reserve(Slot& s, RateFx rho,
 }
 
 bool ConcurrentAdmissionController::route_for(
-    net::NodeId src, net::NodeId dst, std::size_t class_index, RouteRef& out,
-    AdmissionDecision& decision) const {
+    net::NodeId src, net::NodeId dst, std::size_t class_index,
+    std::uint32_t& cell, AdmissionDecision& decision) const {
   if (class_index >= classes_->size() ||
       !classes_->at(class_index).realtime) {
     decision.outcome = AdmissionOutcome::kBadClass;
     return false;
   }
-  if (index_nodes_ != 0) {
-    // Dense index covers every configured entry: an out-of-range or empty
-    // cell *is* the no-route answer, no hash fallback needed.
-    if (src < index_nodes_ && dst < index_nodes_)
-      out = route_index_[(class_index * index_nodes_ + src) * index_nodes_ +
-                         dst];
-  } else if (const net::ServerPath* route =
-                 table_.lookup_ref(src, dst, class_index)) {
-    out.len = static_cast<std::uint32_t>(route->size());
-    out.path = route;  // slots stays nullptr: hops read from the path
+  // The dense index covers every configured entry: an out-of-range or
+  // empty cell *is* the no-route answer.
+  if (src >= index_nodes_ || dst >= index_nodes_) {
+    decision.outcome = AdmissionOutcome::kNoRoute;
+    return false;
   }
-  if (out.path == nullptr) {
+  cell = static_cast<std::uint32_t>(
+      (class_index * index_nodes_ + src) * index_nodes_ + dst);
+  if (route_index_[cell].path == nullptr) {
     decision.outcome = AdmissionOutcome::kNoRoute;
     return false;
   }
@@ -151,14 +172,6 @@ bool ConcurrentAdmissionController::reserve_route(
     AdmissionDecision& decision) {
   const RateFx rho = rho_units_[class_index];
 
-  // Slot for the hop: precomputed index on the dense path, class-stride
-  // arithmetic on the hash-fallback path. The branch is invariant over a
-  // route, so it predicts perfectly inside the loops below.
-  const auto hop_slot = [&](std::size_t hop) -> Slot& {
-    return route.slots != nullptr ? slots_[route.slots[hop]]
-                                  : slot(class_index, (*route.path)[hop]);
-  };
-
   // Read-only precheck: in the overload regime most requests are rejected,
   // and a rejection should cost loads, not CAS traffic plus rollback.
   // Observing a full hop here is the same decision the CAS pass would make
@@ -169,7 +182,7 @@ bool ConcurrentAdmissionController::reserve_route(
   // route cell (RouteRef::first): demand, cell, slot, three dependent
   // loads and the decision is made.
   std::size_t hop = 0;
-  if (route.slots != nullptr && route.len != 0) {
+  if (route.len != 0) {
     const Slot& s0 = slots_[route.first];
     const RateFx cap0 = s0.limit.load(std::memory_order_relaxed);
     const RateFx cur0 = s0.reserved.load(std::memory_order_relaxed);
@@ -181,7 +194,7 @@ bool ConcurrentAdmissionController::reserve_route(
     hop = 1;
   }
   for (; hop < route.len; ++hop) {
-    const Slot& sl = hop_slot(hop);
+    const Slot& sl = slots_[route.slots[hop]];
     const RateFx cap = sl.limit.load(std::memory_order_relaxed);
     const RateFx cur = sl.reserved.load(std::memory_order_relaxed);
     if (cur > cap || rho > cap - cur) {
@@ -195,10 +208,11 @@ bool ConcurrentAdmissionController::reserve_route(
   // verified share alpha on every link? Reserve hop by hop; on a
   // saturated hop roll back what this request already took.
   for (hop = 0; hop < route.len; ++hop) {
-    Slot& sl = hop_slot(hop);
+    Slot& sl = slots_[route.slots[hop]];
     if (!try_reserve(sl, rho, sl.limit.load(std::memory_order_relaxed))) {
       for (std::size_t h = 0; h < hop; ++h)
-        hop_slot(h).reserved.fetch_sub(rho, std::memory_order_relaxed);
+        slots_[route.slots[h]].reserved.fetch_sub(rho,
+                                                  std::memory_order_relaxed);
       decision.outcome = AdmissionOutcome::kUtilizationExceeded;
       decision.blocking_hop = hop;
       return false;
@@ -206,6 +220,53 @@ bool ConcurrentAdmissionController::reserve_route(
   }
   decision.outcome = AdmissionOutcome::kAdmitted;
   return true;
+}
+
+ConcurrentAdmissionController::Lane&
+ConcurrentAdmissionController::own_lane() {
+  const LaneCache& cache = t_lane_cache;
+  return lanes_[cache.controller == uid_ ? cache.lane : claim_lane()];
+}
+
+std::uint32_t ConcurrentAdmissionController::claim_lane() {
+  if (t_thread_token == 0)
+    t_thread_token =
+        g_next_thread_token.fetch_add(1, std::memory_order_relaxed);
+  const std::uint64_t token = t_thread_token;
+  // Lanes are claimed in index order and never given back, so the claimed
+  // ones form a prefix: this thread's lane, if it has one, comes before
+  // the first unclaimed lane. Relaxed is enough — the owner word only
+  // routes threads; the lane's data is published by its mutex.
+  std::uint32_t lane = 0;
+  for (; lane < kLaneCount; ++lane) {
+    std::uint64_t owner = lanes_[lane].owner.load(std::memory_order_relaxed);
+    if (owner == token) break;
+    if (owner == 0 && lanes_[lane].owner.compare_exchange_strong(
+                          owner, token, std::memory_order_relaxed))
+      break;
+  }
+  // Every lane taken: share one. The lane mutex keeps a shared lane
+  // correct; only the core-locality is lost.
+  if (lane == kLaneCount) lane = static_cast<std::uint32_t>(token % kLaneCount);
+  t_lane_cache = LaneCache{uid_, lane};
+  return lane;
+}
+
+traffic::FlowId ConcurrentAdmissionController::register_flow(
+    std::uint32_t cell) {
+  Lane& lane = own_lane();
+  std::lock_guard<std::mutex> lock(lane.mutex);
+  const traffic::FlowId id = ++lane.last_id;
+  lane.flows.insert(FlowRecord{id, cell});
+  return id;
+}
+
+void ConcurrentAdmissionController::unreserve(std::uint32_t cell) {
+  const RouteRef& route = route_index_[cell];
+  const RateFx rho = rho_units_[class_of(cell)];
+  for (std::uint32_t hop = 0; hop < route.len; ++hop)
+    slots_[route.slots[hop]].reserved.fetch_sub(rho,
+                                                std::memory_order_relaxed);
 }
 
 AdmissionDecision ConcurrentAdmissionController::request(
@@ -248,14 +309,13 @@ void ConcurrentAdmissionController::record_request_telemetry(
   // Per-hop utilization at decision time: the worst hop along the route
   // (reads the same atomics the decision used; only paid on sampled
   // events).
-  if (class_index < classes_->size() && classes_->at(class_index).realtime) {
-    if (const net::ServerPath* route =
-            table_.lookup_ref(src, dst, class_index)) {
-      double worst = 0.0;
-      for (const net::ServerId s : *route)
-        worst = std::max(worst, class_utilization(s, class_index));
-      ev.utilization = worst;
-    }
+  std::uint32_t cell = 0;
+  AdmissionDecision lookup;
+  if (route_for(src, dst, class_index, cell, lookup)) {
+    double worst = 0.0;
+    for (const net::ServerId s : *route_index_[cell].path)
+      worst = std::max(worst, class_utilization(s, class_index));
+    ev.utilization = worst;
   }
   t->tracer->record(ev);
   if (rolled_back) {
@@ -267,20 +327,12 @@ void ConcurrentAdmissionController::record_request_telemetry(
 AdmissionDecision ConcurrentAdmissionController::request_impl(
     net::NodeId src, net::NodeId dst, std::size_t class_index) {
   AdmissionDecision decision;
-  RouteRef route;
-  if (!route_for(src, dst, class_index, route, decision)) return decision;
-  if (!reserve_route(route, class_index, decision)) return decision;
+  std::uint32_t cell = 0;
+  if (!route_for(src, dst, class_index, cell, decision)) return decision;
+  if (!reserve_route(route_index_[cell], class_index, decision))
+    return decision;
 
-  const traffic::FlowId id =
-      next_id_.fetch_add(1, std::memory_order_relaxed);
-  FlowRecord record{id, route.path, static_cast<std::uint32_t>(class_index),
-                    src, dst};
-  {
-    Shard& sh = shard(id);
-    std::lock_guard<std::mutex> lock(sh.mutex);
-    sh.flows.insert(record);
-  }
-  active_.fetch_add(1, std::memory_order_relaxed);
+  const traffic::FlowId id = register_flow(cell);
   // Conformance-plane registration: one relaxed-ordering gate load when
   // no ArrivalRecorder is installed (same pattern as UBAC_SPAN).
   if (auto* recorder = telemetry::ArrivalRecorder::active())
@@ -333,55 +385,38 @@ std::size_t ConcurrentAdmissionController::admit_batch_impl(
   // sequential calls would have produced; a request that hits a
   // saturated hop rolls back only its own partial reservation.
   // `hits[j]` is the j-th admitted request: its index into `requests` and
-  // its route, kept for phase-2 registration. Populated lazily so a batch
-  // that admits nothing — the common case under overload — allocates
-  // nothing.
-  std::vector<std::pair<std::size_t, const net::ServerPath*>> hits;
+  // its route cell, kept for phase-2 registration. Populated lazily so a
+  // batch that admits nothing — the common case under overload —
+  // allocates nothing.
+  std::vector<std::pair<std::size_t, std::uint32_t>> hits;
   for (std::size_t i = 0; i < requests.size(); ++i) {
     AdmissionDecision& decision = results[i];
     decision = AdmissionDecision{};
     const traffic::Demand& d = requests[i];
-    RouteRef route;
-    if (!route_for(d.src, d.dst, d.class_index, route, decision)) continue;
-    if (!reserve_route(route, d.class_index, decision)) continue;
-    hits.emplace_back(i, route.path);
+    std::uint32_t cell = 0;
+    if (!route_for(d.src, d.dst, d.class_index, cell, decision)) continue;
+    if (!reserve_route(route_index_[cell], d.class_index, decision)) continue;
+    hits.emplace_back(i, cell);
   }
-  const std::size_t admitted = hits.size();
-  if (admitted == 0) return 0;
+  if (hits.empty()) return 0;
 
-  // Ids are consecutive: one fetch_add claims the whole block, and the
-  // j-th admitted request gets base + j — identical to what sequential
-  // request() calls would have assigned (rejected requests consume no id).
-  const traffic::FlowId base =
-      next_id_.fetch_add(admitted, std::memory_order_relaxed);
-  for (std::size_t j = 0; j < admitted; ++j)
-    results[hits[j].first].flow_id = base + j;
-
-  // Phase 2 — register, one lock acquisition per shard. Consecutive ids
-  // land on consecutive shards (shard = id mod kShardCount), so admitted
-  // request j belongs to shard (base + j) mod kShardCount: for each shard
-  // we walk the admitted subsequence starting at its first matching index
-  // with stride kShardCount.
-  for (std::size_t s = 0; s < kShardCount && s < admitted; ++s) {
-    const std::size_t first = s;  // admitted ordinal s hits shard of base+s
-    Shard& sh = shards_[(base + first) & (kShardCount - 1)];
-    std::lock_guard<std::mutex> lock(sh.mutex);
-    for (std::size_t j = first; j < admitted; j += kShardCount) {
-      const std::size_t i = hits[j].first;
-      const traffic::Demand& d = requests[i];
-      sh.flows.insert(FlowRecord{base + j, hits[j].second,
-                                 static_cast<std::uint32_t>(d.class_index),
-                                 d.src, d.dst});
+  // Phase 2 — register the admitted subset under one lock of the caller's
+  // lane. Ids come off the lane sequence in admit order, exactly what
+  // sequential request() calls would have drawn (rejected requests
+  // consume no id).
+  {
+    Lane& lane = own_lane();
+    std::lock_guard<std::mutex> lock(lane.mutex);
+    for (const auto& [i, cell] : hits) {
+      results[i].flow_id = ++lane.last_id;
+      lane.flows.insert(FlowRecord{results[i].flow_id, cell});
     }
   }
-  active_.fetch_add(admitted, std::memory_order_relaxed);
   if (auto* recorder = telemetry::ArrivalRecorder::active())
-    for (std::size_t j = 0; j < admitted; ++j) {
-      const traffic::Demand& d = requests[hits[j].first];
-      recorder->on_admit(base + j,
-                         static_cast<std::uint32_t>(d.class_index));
-    }
-  return admitted;
+    for (const auto& [i, cell] : hits)
+      recorder->on_admit(results[i].flow_id,
+                         static_cast<std::uint32_t>(requests[i].class_index));
+  return hits.size();
 }
 
 bool ConcurrentAdmissionController::release(traffic::FlowId id) {
@@ -400,19 +435,16 @@ bool ConcurrentAdmissionController::release(traffic::FlowId id) {
 }
 
 bool ConcurrentAdmissionController::release_impl(traffic::FlowId id) {
+  Lane* lane = lane_of(id);
+  if (lane == nullptr) return false;  // never issued here
   FlowRecord record;
   {
-    Shard& sh = shard(id);
-    std::lock_guard<std::mutex> lock(sh.mutex);
-    if (!sh.flows.erase(id, record)) return false;  // unknown/double release
+    std::lock_guard<std::mutex> lock(lane->mutex);
+    if (!lane->flows.erase(id, record)) return false;  // unknown/double
   }
-  active_.fetch_sub(1, std::memory_order_relaxed);
   if (auto* recorder = telemetry::ArrivalRecorder::active())
     recorder->on_release(id);
-  const RateFx rho = rho_units_[record.class_index];
-  for (const net::ServerId s : *record.route)
-    slot(record.class_index, s)
-        .reserved.fetch_sub(rho, std::memory_order_relaxed);
+  unreserve(record.cell);
   return true;
 }
 
@@ -430,37 +462,42 @@ std::size_t ConcurrentAdmissionController::release_batch(
 
 std::size_t ConcurrentAdmissionController::release_batch_impl(
     std::span<const traffic::FlowId> ids, std::size_t& unknown) {
-  // Extract records shard by shard (each lock taken at most once), then
-  // return the reservations outside any lock.
+  // Extract records lane by lane (each lock taken at most once, only for
+  // lanes the batch names), then return the reservations outside any lock.
+  std::uint32_t named = 0;  // bit l: some id decodes to lane l
+  for (const traffic::FlowId id : ids) {
+    if (lane_of(id) == nullptr)
+      ++unknown;
+    else
+      named |= 1u << (id >> kLaneShift);
+  }
   std::vector<FlowRecord> records;
   records.reserve(ids.size());
-  for (std::size_t s = 0; s < kShardCount; ++s) {
-    bool locked = false;
-    std::unique_lock<std::mutex> lock(shards_[s].mutex, std::defer_lock);
+  for (; named != 0; named &= named - 1) {
+    const unsigned l = static_cast<unsigned>(std::countr_zero(named));
+    std::lock_guard<std::mutex> lock(lanes_[l].mutex);
     for (const traffic::FlowId id : ids) {
-      if ((id & (kShardCount - 1)) != s) continue;
-      if (!locked) {
-        lock.lock();
-        locked = true;
-      }
+      if ((id >> kLaneShift) != l) continue;
       FlowRecord record;
-      if (shards_[s].flows.erase(id, record))
+      if (lanes_[l].flows.erase(id, record))
         records.push_back(record);
       else
         ++unknown;
     }
   }
-  if (records.empty()) return 0;
-  active_.fetch_sub(records.size(), std::memory_order_relaxed);
   if (auto* recorder = telemetry::ArrivalRecorder::active())
     for (const FlowRecord& record : records) recorder->on_release(record.id);
-  for (const FlowRecord& record : records) {
-    const RateFx rho = rho_units_[record.class_index];
-    for (const net::ServerId s : *record.route)
-      slot(record.class_index, s)
-          .reserved.fetch_sub(rho, std::memory_order_relaxed);
-  }
+  for (const FlowRecord& record : records) unreserve(record.cell);
   return records.size();
+}
+
+std::size_t ConcurrentAdmissionController::active_flows() const {
+  std::size_t total = 0;
+  for (std::size_t l = 0; l < kLaneCount; ++l) {
+    std::lock_guard<std::mutex> lock(lanes_[l].mutex);
+    total += lanes_[l].flows.size();
+  }
+  return total;
 }
 
 double ConcurrentAdmissionController::class_utilization(
@@ -566,23 +603,27 @@ void ConcurrentAdmissionController::shed_class(std::size_t class_index,
   if (rho == 0) return;
   ControllerTelemetry* const t = telemetry_;
   while (any_over_budget(class_index)) {
-    // Collect the class's registered flows; shed newest (highest id)
-    // first, so the longest-lived reservations survive a shrink.
-    std::vector<std::pair<traffic::FlowId, const net::ServerPath*>> flows;
-    for (std::size_t s = 0; s < kShardCount; ++s) {
-      std::lock_guard<std::mutex> lock(shards_[s].mutex);
-      shards_[s].flows.for_each([&](const FlowRecord& record) {
-        if (record.class_index == class_index)
-          flows.emplace_back(record.id, record.route);
+    // Collect the class's registered flows; shed newest first, so the
+    // longest-lived reservations survive a shrink. Rotating the id puts
+    // the lane-local sequence on top and the lane below it, so descending
+    // order is "highest sequence, then highest lane".
+    std::vector<std::pair<traffic::FlowId, std::uint32_t>> flows;
+    for (std::size_t l = 0; l < kLaneCount; ++l) {
+      std::lock_guard<std::mutex> lock(lanes_[l].mutex);
+      lanes_[l].flows.for_each([&](const FlowRecord& record) {
+        if (class_of(record.cell) == class_index)
+          flows.emplace_back(record.id, record.cell);
       });
     }
-    std::sort(flows.begin(), flows.end(),
-              [](const auto& a, const auto& b) { return a.first > b.first; });
+    std::sort(flows.begin(), flows.end(), [](const auto& a, const auto& b) {
+      return std::rotr(a.first, kLaneShift) > std::rotr(b.first, kLaneShift);
+    });
     bool progressed = false;
-    for (const auto& [id, route] : flows) {
+    for (const auto& [id, cell] : flows) {
+      const RouteRef& route = route_index_[cell];
       bool crosses = false;
-      for (const net::ServerId s : *route) {
-        const Slot& sl = slot(class_index, s);
+      for (std::uint32_t hop = 0; hop < route.len; ++hop) {
+        const Slot& sl = slots_[route.slots[hop]];
         if (sl.reserved.load(std::memory_order_relaxed) >
             sl.limit.load(std::memory_order_relaxed)) {
           crosses = true;
@@ -620,12 +661,18 @@ void ConcurrentAdmissionController::shed_class(std::size_t class_index,
 
 std::optional<FlowView> ConcurrentAdmissionController::find_flow(
     traffic::FlowId id) const {
-  Shard& sh = shard(id);
-  std::lock_guard<std::mutex> lock(sh.mutex);
-  const FlowRecord* record = sh.flows.find(id);
-  if (record == nullptr) return std::nullopt;
-  return FlowView{record->id, record->class_index, record->src, record->dst,
-                  record->route};
+  Lane* lane = lane_of(id);
+  if (lane == nullptr) return std::nullopt;
+  std::uint32_t cell = 0;
+  {
+    std::lock_guard<std::mutex> lock(lane->mutex);
+    const FlowRecord* record = lane->flows.find(id);
+    if (record == nullptr) return std::nullopt;
+    cell = record->cell;
+  }
+  const std::uint32_t n = index_nodes_;
+  return FlowView{id, class_of(cell), (cell / n) % n, cell % n,
+                  route_index_[cell].path};
 }
 
 }  // namespace ubac::admission

@@ -51,17 +51,27 @@
 /// conservative behaviour of optimistic admission and affects liveness
 /// statistics only, never the delay-safety property alpha certifies.
 ///
-/// The per-flow edge registry is sharded: flow ids are assigned from an
-/// atomic counter and mapped to one of kShardCount mutex-guarded flat
-/// maps (flow_registry.hpp), so registry updates scale with cores instead
-/// of serializing on one lock, and admit/release touch no allocator at
-/// steady state.
+/// ## Registry lanes
+///
+/// The per-flow edge registry is split into kLaneCount thread-affine
+/// lanes, each a mutex, a flat map (flow_registry.hpp) and an id
+/// sequence. A thread claims a lane of this controller the first time it
+/// admits (first come, first served, per controller); once every lane is
+/// claimed, later threads hash onto shared lanes, which stay correct
+/// because every lane operation runs under its own mutex. A flow id is
+/// `lane << kLaneShift | sequence`: the lane-local sequence starts at 1,
+/// so a single-threaded caller holds lane 0 and sees ids 1, 2, 3... as the
+/// sequential oracle does, and every id stays below 2^52 (exact in a JSON
+/// double). release() and find_flow() decode the lane from the id, so a
+/// worker that admits and releases its own flows only ever touches
+/// registry lines its own core owns; a release from another thread takes
+/// the owning lane's lock. Each lane's sequence has 48 bits: ~2.8e14
+/// admits per lane before it would wrap.
 ///
 /// ## Batch admission
 ///
-/// `admit_batch()` runs k admission tests with one telemetry flush, one
-/// id-block allocation, and at most one lock acquisition per registry
-/// shard (requests grouped by shard before locking). Single-threaded it
+/// `admit_batch()` runs k admission tests with one telemetry flush and
+/// one lane lock acquisition for the whole batch. Single-threaded it
 /// is decision-for-decision identical to k sequential `request()` calls —
 /// same admit set, same rejection reasons, same flow ids. Under
 /// concurrent interference each request still reserves through the same
@@ -140,7 +150,9 @@ class ConcurrentAdmissionController {
   /// preconditions (more than traffic::kMaxServers servers, a server
   /// capacity above traffic::kMaxCapacityBps, or a real-time class rate
   /// above traffic::kMaxCapacityBps) — the bounds under which the grid's
-  /// overflow-freedom proof holds.
+  /// overflow-freedom proof holds — or when the dense route index's
+  /// (class, node, node) cube would exceed kMaxRouteCells cells (node ids
+  /// too sparse to index directly).
   ConcurrentAdmissionController(const net::ServerGraph& graph,
                                 const traffic::ClassSet& classes,
                                 RoutingTable table);
@@ -152,20 +164,21 @@ class ConcurrentAdmissionController {
 
   /// Batch admission test: decide requests[i] into results[i] for every i,
   /// in order, and return the number admitted. Semantically equivalent to
-  /// calling request() per element; amortizes flow-id allocation, registry
-  /// shard locking (one lock per shard per batch) and telemetry (one
-  /// counter flush and one sampled latency record per batch).
+  /// calling request() per element; amortizes registry locking (one lane
+  /// lock per batch) and telemetry (one counter flush and one sampled
+  /// latency record per batch).
   /// `results.size() >= requests.size()` is required.
   std::size_t admit_batch(std::span<const traffic::Demand> requests,
                           std::span<AdmissionDecision> results);
 
   /// Tear down an admitted flow, freeing its reservation on every hop.
-  /// Returns false when the id is unknown (double release). Thread-safe:
-  /// of two racing releases of the same id exactly one succeeds.
+  /// Returns false when the id is unknown (double release, or lane bits
+  /// out of range). Thread-safe from any thread, not only the admitting
+  /// one: of two racing releases of the same id exactly one succeeds.
   bool release(traffic::FlowId id);
 
   /// Batch teardown: release every id, grouping registry work so each
-  /// shard's lock is taken at most once per batch. Returns the number of
+  /// lane's lock is taken at most once per batch. Returns the number of
   /// flows actually released (unknown/duplicate ids are skipped, counted
   /// in telemetry as unknown releases).
   std::size_t release_batch(std::span<const traffic::FlowId> ids);
@@ -194,9 +207,9 @@ class ConcurrentAdmissionController {
   BitsPerSecond peak_reserved_rate(net::ServerId server,
                                    std::size_t class_index) const;
 
-  std::size_t active_flows() const {
-    return active_.load(std::memory_order_relaxed);
-  }
+  /// Registered flows, summed over the registry lanes (each read under
+  /// its lane lock, so a concurrent caller sees a per-lane-consistent sum).
+  std::size_t active_flows() const;
 
   std::size_t server_count() const { return servers_; }
   const traffic::ClassSet& classes() const { return *classes_; }
@@ -227,8 +240,11 @@ class ConcurrentAdmissionController {
   ///  2. *Shed.* For every class whose budget shrank — visited in reverse
   ///     priority order, so best-effort/statistical classes give ground
   ///     before guaranteed ones — registered flows are dropped newest
-  ///     first (highest id), but only flows actually crossing a still
-  ///     over-committed hop, until every slot fits its new budget.
+  ///     first, but only flows actually crossing a still over-committed
+  ///     hop, until every slot fits its new budget. "Newest" is the
+  ///     highest lane-local sequence, ties broken by the highest lane: a
+  ///     single-threaded caller's flows all sit in lane 0, so for it this
+  ///     is plain highest-id-first order.
   ///
   /// Growing a class never sheds anything. Concurrent-safe against
   /// request()/release(); an admit racing the fence may commit against the
@@ -243,7 +259,12 @@ class ConcurrentAdmissionController {
   /// Ledger word: unsigned fixed-point grid units (traffic/flow.hpp).
   using RateFx = traffic::RateUnits;
 
-  static constexpr std::size_t kShardCount = 16;  // power of two
+  /// Registry lanes; a flow id carries its lane in the bits from
+  /// kLaneShift up, its lane-local sequence below.
+  static constexpr std::size_t kLaneCount = 16;
+  static constexpr unsigned kLaneShift = 48;
+  /// Largest dense route index the constructor will build (x 24 bytes).
+  static constexpr std::size_t kMaxRouteCells = std::size_t{1} << 22;
 
   /// One (class, server) reservation cell; cache-line padded so counters
   /// of adjacent servers never false-share. The budget lives in the same
@@ -259,9 +280,15 @@ class ConcurrentAdmissionController {
     std::atomic<RateFx> limit{0};
   };
 
-  struct alignas(64) Shard {
-    mutable std::mutex mutex;
-    FlowShardMap flows;
+  /// One registry lane. 128-byte aligned so neither a neighbouring lane
+  /// nor the adjacent-line prefetcher pulls another core's lock line.
+  struct alignas(128) Lane {
+    std::mutex mutex;
+    FlowShardMap flows;  ///< guarded by mutex
+    /// Last id issued, guarded by mutex; starts at lane << kLaneShift.
+    traffic::FlowId last_id = 0;
+    /// Token of the thread that claimed the lane; 0 while unclaimed.
+    std::atomic<std::uint64_t> owner{0};
   };
 
   Slot& slot(std::size_t class_index, net::ServerId server) const {
@@ -271,37 +298,53 @@ class ConcurrentAdmissionController {
     return slots_[class_index * servers_ + server].limit.load(
         std::memory_order_relaxed);
   }
-  Shard& shard(traffic::FlowId id) const {
-    return shards_[id & (kShardCount - 1)];
+  /// The lane an id was issued from, or nullptr when its lane bits are
+  /// out of range (never issued by this controller).
+  Lane* lane_of(traffic::FlowId id) const {
+    const traffic::FlowId lane = id >> kLaneShift;
+    return lane < kLaneCount ? &lanes_[lane] : nullptr;
   }
+  /// The calling thread's lane, claimed on first use.
+  Lane& own_lane();
+  std::uint32_t claim_lane();
 
   /// CAS loop for one hop: add `rho` iff the result stays within `cap`.
   static bool try_reserve(Slot& s, RateFx rho, RateFx cap);
 
-  /// A resolved route, hot-path form. When the dense index is built,
-  /// `slots` points into route_arena_ at the route's hop list already
-  /// translated to slot indices (the cells are per class, so the
-  /// class*servers_+server arithmetic is done once at construction), and
-  /// `first` carries slots[0] inline so the common overload rejection —
-  /// blocked at hop 0 — needs no arena load at all. On the hash-fallback
-  /// path `slots` is nullptr and hops are read from `path` directly.
-  /// `path` is also what flow registration records for release.
+  /// A resolved route, hot-path form: `slots` points into route_arena_ at
+  /// the route's hop list already translated to slot indices (the cells
+  /// are per class, so the class*servers_+server arithmetic is done once
+  /// at construction), and `first` carries slots[0] inline so the common
+  /// overload rejection — blocked at hop 0 — needs no arena load at all.
+  /// `path` is null in an empty cell (no route) and is what find_flow()
+  /// hands out.
   struct RouteRef {
     const std::uint32_t* slots = nullptr;
     std::uint32_t len = 0;
     std::uint32_t first = 0;
     const net::ServerPath* path = nullptr;
   };
+  // A flow's cell is recomputed from (class, src, dst), not stored here:
+  // a wider cell costs the overload precheck measurably.
+  static_assert(sizeof(RouteRef) == 24);
 
   /// Hop-by-hop reservation along `route` with rollback on saturation.
   /// Fills `decision` (outcome + blocking hop); true on full reservation.
   bool reserve_route(const RouteRef& route, std::size_t class_index,
                      AdmissionDecision& decision);
 
-  /// Validate class and resolve the route into `out`; on failure fills the
-  /// decision outcome and returns false.
+  /// Validate class and resolve the route cell index into `cell`; on
+  /// failure fills the decision outcome and returns false.
   bool route_for(net::NodeId src, net::NodeId dst, std::size_t class_index,
-                 RouteRef& out, AdmissionDecision& decision) const;
+                 std::uint32_t& cell, AdmissionDecision& decision) const;
+
+  /// Register an admitted flow of route cell `cell` in the caller's lane.
+  traffic::FlowId register_flow(std::uint32_t cell);
+  /// Return a released flow's reservation on every hop of its route.
+  void unreserve(std::uint32_t cell);
+  std::size_t class_of(std::uint32_t cell) const {
+    return cell / (index_nodes_ * index_nodes_);
+  }
 
   /// The uninstrumented decision/teardown paths (semantics are identical
   /// whether or not telemetry is attached).
@@ -334,9 +377,8 @@ class ConcurrentAdmissionController {
   /// construction (the table is immutable from then on). Hop lists are
   /// copied into one contiguous arena as slot indices, so a decision walks
   /// two flat arrays — index cell, then slots — with no hash-node hop or
-  /// per-hop index arithmetic in between. Empty when the node-id range is
-  /// too sparse to justify the memory; route_for falls back to the hash
-  /// lookup.
+  /// per-hop index arithmetic in between. A registered flow is stored as
+  /// its cell index, from which class, endpoints and route are recovered.
   std::vector<RouteRef> route_index_;
   std::vector<std::uint32_t> route_arena_;
   std::uint32_t index_nodes_ = 0;  ///< index stride (max node id + 1)
@@ -351,9 +393,12 @@ class ConcurrentAdmissionController {
   /// Serializes apply_shares() calls (the swap itself is wait-free for
   /// admits; only whole swaps are mutually exclusive).
   std::mutex reconfig_mutex_;
-  mutable std::unique_ptr<Shard[]> shards_;
-  std::atomic<traffic::FlowId> next_id_{1};
-  std::atomic<std::size_t> active_{0};
+  /// Registry lanes; written only by the threads admitting into and
+  /// releasing from them, so no registry line is shared by default.
+  std::unique_ptr<Lane[]> lanes_;
+  /// Process-unique tag the per-thread lane cache is keyed by (a later
+  /// controller at the same address must not inherit the cache).
+  const std::uint64_t uid_;
   ControllerTelemetry* telemetry_ = nullptr;
 };
 

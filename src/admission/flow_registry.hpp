@@ -2,40 +2,39 @@
 
 /// \file flow_registry.hpp
 /// \brief Open-addressing flow record map used by the concurrent
-///        controller's sharded edge registry.
+///        controller's per-thread registry lanes.
 ///
 /// The seed registry stored a full traffic::Flow (with its own route
 /// vector) in a node-based unordered_map — three heap allocations per
-/// admit. The run-time fast path only ever needs four words per flow:
-/// the class, the endpoints, and a pointer to the route the controller's
-/// own immutable RoutingTable already owns. This map stores exactly that
-/// in one flat slot array with linear probing, so admit/release touch no
-/// allocator at steady state (growth doubles the array, amortized O(1)).
+/// admit. The run-time fast path only needs two words per flow: the id
+/// and the controller's dense route-index cell, from which the class, the
+/// endpoints and the route (already translated to ledger slots) are all
+/// recovered. This map stores exactly that in one flat slot array with
+/// linear probing, so admit/release touch no allocator at steady state:
+/// growth doubles the array, and a map drained below 1/8 load halves it
+/// back, so a lane that once held a prefill peak gives the memory back.
 ///
-/// Not thread-safe by itself: each controller shard wraps one map in its
-/// shard mutex. Flow ids are unique for the life of a controller (a
-/// monotone counter), which is why insert() may take the first free slot
-/// without a duplicate probe.
+/// Not thread-safe by itself: each controller lane wraps one map in its
+/// lane mutex. Flow ids are unique for the life of a controller (a
+/// per-lane monotone sequence under the lane lock), which is why insert()
+/// may take the first free slot without a duplicate probe.
 
 #include <cstdint>
 #include <vector>
 
-#include "net/path.hpp"
 #include "traffic/flow.hpp"
 
 namespace ubac::admission {
 
-/// One registered flow, route held by reference into the routing table.
+/// One registered flow: its id and the controller's route-index cell.
 struct FlowRecord {
   traffic::FlowId id = 0;  ///< 0 = empty slot, kTombstone = erased slot
-  const net::ServerPath* route = nullptr;
-  std::uint32_t class_index = 0;
-  net::NodeId src = 0;
-  net::NodeId dst = 0;
+  std::uint32_t cell = 0;  ///< (class * nodes + src) * nodes + dst
 };
+static_assert(sizeof(FlowRecord) == 16, "two records per 32-byte half-line");
 
 /// Flat linear-probing map keyed by flow id. Ids 0 and ~0 are reserved as
-/// slot markers (the controller's id counter starts at 1).
+/// slot markers (the controller never issues either).
 class FlowShardMap {
  public:
   static constexpr traffic::FlowId kTombstone = ~traffic::FlowId{0};
@@ -43,6 +42,7 @@ class FlowShardMap {
   FlowShardMap() { slots_.resize(kInitialCapacity); }
 
   std::size_t size() const { return size_; }
+  std::size_t capacity() const { return slots_.size(); }
 
   /// Insert a record whose id is not present (guaranteed by id
   /// uniqueness). Amortized O(1); reallocates only on growth.
@@ -53,7 +53,7 @@ class FlowShardMap {
   }
 
   /// Find a live record; the pointer is invalidated by the next insert or
-  /// erase on this shard (callers copy under the shard lock). The reserved
+  /// erase on this map (callers copy under the lane lock). The reserved
   /// marker ids (0, kTombstone) are never present — without the explicit
   /// check they would match empty/erased slots.
   const FlowRecord* find(traffic::FlowId id) const {
@@ -69,6 +69,7 @@ class FlowShardMap {
 
   /// Remove a live record, copying it to `out`. False when absent (and
   /// always false for the reserved marker ids, which match slot markers).
+  /// Shrinks the array once fewer than 1/8 of its slots are live.
   bool erase(traffic::FlowId id, FlowRecord& out) {
     if (id == 0 || id == kTombstone) return false;
     std::size_t i = index_of(id);
@@ -76,10 +77,11 @@ class FlowShardMap {
       FlowRecord& slot = slots_[i];
       if (slot.id == id) {
         out = slot;
-        slot = FlowRecord{};
-        slot.id = kTombstone;
+        slot = FlowRecord{kTombstone, 0};
         --size_;
         ++tombstones_;
+        if (slots_.size() > kInitialCapacity && size_ * 8 < slots_.size())
+          rehash();
         return true;
       }
       if (slot.id == 0) return false;
@@ -118,6 +120,8 @@ class FlowShardMap {
     }
   }
 
+  /// Rebuild at the smallest power of two above twice the live count:
+  /// grows a full map, shrinks a drained one, and drops every tombstone.
   void rehash() {
     std::vector<FlowRecord> old = std::move(slots_);
     std::size_t capacity = kInitialCapacity;

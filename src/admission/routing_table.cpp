@@ -34,10 +34,4 @@ std::optional<net::ServerPath> RoutingTable::lookup(
   return it->second;
 }
 
-const net::ServerPath* RoutingTable::lookup_ref(
-    net::NodeId src, net::NodeId dst, std::size_t class_index) const {
-  const auto it = table_.find(key(src, dst, class_index));
-  return it == table_.end() ? nullptr : &it->second;
-}
-
 }  // namespace ubac::admission

@@ -30,16 +30,10 @@ class RoutingTable {
   std::optional<net::ServerPath> lookup(net::NodeId src, net::NodeId dst,
                                         std::size_t class_index) const;
 
-  /// Copy-free route lookup for the admission hot path: nullptr when the
-  /// demand has no route. The pointer stays valid for the table's lifetime
-  /// as long as set() is not called again (controllers own an immutable
-  /// copy, so flows may hold the pointer until release).
-  const net::ServerPath* lookup_ref(net::NodeId src, net::NodeId dst,
-                                    std::size_t class_index) const;
-
   /// Visit every configured entry as (src, dst, class, route). Route
-  /// references obey the same lifetime rule as lookup_ref(). Controllers
-  /// use this to build their own dense lookup structures at construction.
+  /// references stay valid for the table's lifetime as long as set() is
+  /// not called again (controllers own an immutable copy and build their
+  /// dense route index from it at construction).
   template <typename Fn>
   void for_each(Fn&& fn) const {
     for (const auto& [packed, route] : table_)

@@ -5,14 +5,20 @@
 // -DUBAC_SANITIZE=thread.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <barrier>
+#include <set>
 #include <span>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "admission/controller.hpp"
+#include "admission/sequential_controller.hpp"
+#include "admission/telemetry.hpp"
+#include "telemetry/metrics.hpp"
 #include "net/shortest_path.hpp"
 #include "net/topology_factory.hpp"
 #include "traffic/workload.hpp"
@@ -470,6 +476,258 @@ TEST(ConcurrentAdmission, ConservationUnderMixedBatchAndSingleChurn) {
   EXPECT_EQ(ctl.active_flows(), 0u);
   for (net::ServerId s = 0; s < f.graph.size(); ++s)
     ASSERT_EQ(ctl.reserved_units(s, 0), 0u);
+}
+
+// -- Registry lanes ------------------------------------------------------------
+
+/// Lane bits of a flow id (the top 16 bits; lanes 0..15 are issued).
+std::uint64_t lane_bits(traffic::FlowId id) { return id >> 48; }
+
+/// One-link rig: 1000 voice flows fit the 0-1 hop at alpha = 0.32.
+struct LineRig {
+  net::Topology topo = net::line(3);
+  net::ServerGraph graph{topo, 6u};
+  ClassSet classes = ClassSet::two_class(kVoice, milliseconds(100), 0.32);
+  RoutingTable table;
+  LineRig() { table.set({0, 2, 0}, graph.map_path({0, 1, 2})); }
+};
+
+// A flow admitted on one thread (its lane) and released on another: the
+// release finds the owning lane from the id and the ledger drains to 0.
+TEST(ConcurrentAdmission, CrossThreadReleaseDrainsLedger) {
+  LineRig rig;
+  AdmissionController ctl(rig.graph, rig.classes, rig.table);
+  // The main thread takes lane 0 first, so the admitting thread below is
+  // on a lane of its own and every release crosses lanes.
+  ASSERT_TRUE(ctl.request(0, 2, 0).admitted());
+
+  std::vector<traffic::FlowId> ids;
+  std::thread admitter([&] {
+    for (int i = 0; i < 600; ++i) {
+      const auto decision = ctl.request(0, 2, 0);
+      ASSERT_TRUE(decision.admitted());
+      ids.push_back(decision.flow_id);
+    }
+  });
+  admitter.join();
+  ASSERT_EQ(ids.size(), 600u);
+  for (const traffic::FlowId id : ids) ASSERT_EQ(lane_bits(id), 1u);
+
+  std::thread releaser([&] {
+    // Half one at a time, half as one batch.
+    for (std::size_t i = 0; i < 300; ++i) {
+      ASSERT_TRUE(ctl.find_flow(ids[i]).has_value());
+      ASSERT_TRUE(ctl.release(ids[i]));
+    }
+    ASSERT_EQ(ctl.release_batch(std::span<const traffic::FlowId>(ids).subspan(
+                  300)),
+              300u);
+    ASSERT_EQ(ctl.active_flows(), 1u);
+    ASSERT_TRUE(ctl.release(1));  // the main thread's flow, lane 0
+  });
+  releaser.join();
+
+  EXPECT_EQ(ctl.active_flows(), 0u);
+  for (net::ServerId s = 0; s < rig.graph.size(); ++s)
+    EXPECT_EQ(ctl.reserved_units(s, 0), 0u) << "server " << s;
+}
+
+// More threads than lanes: the 17th and later threads share lanes. Ids
+// must stay unique, the ledger exact, and every counter 0 after a drain.
+TEST(ConcurrentAdmission, SharedLanesPast16ThreadsKeepIdsUniqueAndLedgerExact) {
+  constexpr std::size_t kThreads = 24;
+  constexpr std::size_t kItersPerThread = 4'000;
+
+  MciFixture f;
+  AdmissionController ctl(f.graph, f.classes, f.table);
+  std::vector<WorkerTally> tallies(kThreads);
+  std::vector<std::vector<traffic::FlowId>> issued(kThreads);
+
+  std::barrier start(static_cast<std::ptrdiff_t>(kThreads));
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < kThreads; ++t)
+    workers.emplace_back([&, t] {
+      start.arrive_and_wait();
+      util::Xoshiro256 rng(0x5A4ED + t);
+      WorkerTally& tally = tallies[t];
+      for (std::size_t k = 0; k < kItersPerThread; ++k) {
+        if (!tally.held.empty() && rng.bernoulli(0.45)) {
+          const auto pos = rng.uniform_index(tally.held.size());
+          ASSERT_TRUE(ctl.release(tally.held[pos]));
+          tally.held[pos] = tally.held.back();
+          tally.held.pop_back();
+        } else {
+          const auto& d = f.demands[rng.uniform_index(f.demands.size())];
+          const auto decision = ctl.request(d.src, d.dst, d.class_index);
+          if (!decision.admitted()) continue;
+          tally.held.push_back(decision.flow_id);
+          issued[t].push_back(decision.flow_id);
+        }
+      }
+    });
+  for (auto& w : workers) w.join();
+
+  std::vector<traffic::FlowId> all;
+  std::set<std::uint64_t> lanes;
+  for (const auto& ids : issued)
+    for (const traffic::FlowId id : ids) {
+      all.push_back(id);
+      lanes.insert(lane_bits(id));
+    }
+  std::sort(all.begin(), all.end());
+  EXPECT_EQ(std::adjacent_find(all.begin(), all.end()), all.end())
+      << "a flow id was issued twice";
+  EXPECT_EQ(lanes.size(), 16u) << "24 admitting threads claim every lane";
+  EXPECT_LT(*lanes.rbegin(), 16u);
+
+  std::size_t total_held = 0;
+  std::vector<std::size_t> crossing(f.graph.size(), 0);
+  for (const auto& tally : tallies)
+    for (const traffic::FlowId id : tally.held) {
+      ++total_held;
+      const auto flow = ctl.find_flow(id);
+      ASSERT_TRUE(flow.has_value());
+      for (const net::ServerId s : *flow->route) ++crossing[s];
+    }
+  EXPECT_EQ(ctl.active_flows(), total_held);
+  const traffic::RateUnits rho = traffic::quantize_demand_up(kVoice.rate);
+  for (net::ServerId s = 0; s < f.graph.size(); ++s) {
+    ASSERT_EQ(ctl.reserved_units(s, 0), crossing[s] * rho) << "server " << s;
+    ASSERT_LE(ctl.peak_reserved_rate(s, 0),
+              0.05 * f.graph.server(s).capacity)
+        << "server " << s;
+  }
+
+  for (const auto& tally : tallies)
+    ASSERT_EQ(ctl.release_batch(tally.held), tally.held.size());
+  EXPECT_EQ(ctl.active_flows(), 0u);
+  for (net::ServerId s = 0; s < f.graph.size(); ++s)
+    ASSERT_EQ(ctl.reserved_units(s, 0), 0u) << "server " << s;
+}
+
+// Ids whose lane bits name no lane were never issued: release() and
+// find_flow() refuse them, release_batch() counts them as unknown, and the
+// ledger is untouched.
+TEST(ConcurrentAdmission, IdsWithOutOfRangeLaneBitsAreUnknown) {
+  LineRig rig;
+  AdmissionController ctl(rig.graph, rig.classes, rig.table);
+  telemetry::MetricsRegistry registry;
+  ControllerTelemetry instruments(registry, "concurrent");
+  ctl.attach_telemetry(&instruments);
+
+  const auto held = ctl.request(0, 2, 0);
+  ASSERT_TRUE(held.admitted());
+  ASSERT_EQ(held.flow_id, 1u);
+  const traffic::RateUnits before = ctl.reserved_units(0, 0);
+
+  const std::vector<traffic::FlowId> bad{
+      (traffic::FlowId{16} << 48) | 1,      // first lane past the last
+      (traffic::FlowId{0xFFFF} << 48) | 1,  // all lane bits set
+      traffic::FlowId{1} << 52,
+      ~traffic::FlowId{0}};
+  for (const traffic::FlowId id : bad) {
+    EXPECT_FALSE(ctl.release(id)) << id;
+    EXPECT_FALSE(ctl.find_flow(id).has_value()) << id;
+  }
+  EXPECT_EQ(instruments.unknown_releases->value(), bad.size());
+  EXPECT_EQ(ctl.reserved_units(0, 0), before);
+
+  std::vector<traffic::FlowId> mixed = bad;
+  mixed.push_back(held.flow_id);
+  EXPECT_EQ(ctl.release_batch(mixed), 1u);
+  EXPECT_EQ(instruments.unknown_releases->value(), 2 * bad.size());
+  EXPECT_EQ(instruments.releases->value(), 1u);
+  EXPECT_EQ(ctl.active_flows(), 0u);
+  for (net::ServerId s = 0; s < rig.graph.size(); ++s)
+    EXPECT_EQ(ctl.reserved_units(s, 0), 0u) << "server " << s;
+}
+
+// Every issued id is an exact JSON number (below 2^53), whichever lane and
+// whichever call — request() or admit_batch() — issued it.
+TEST(ConcurrentAdmission, EveryIssuedIdIsBelow2To53) {
+  constexpr std::size_t kThreads = 20;
+  LineRig rig;
+  AdmissionController ctl(rig.graph, rig.classes, rig.table);
+  std::vector<std::vector<traffic::FlowId>> issued(kThreads);
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < kThreads; ++t)
+    workers.emplace_back([&, t] {
+      const std::vector<traffic::Demand> wave(4, traffic::Demand{0, 2, 0});
+      std::vector<AdmissionDecision> decisions(wave.size());
+      for (int i = 0; i < 10; ++i) {
+        const auto single = ctl.request(0, 2, 0);
+        if (single.admitted()) issued[t].push_back(single.flow_id);
+        ctl.admit_batch(wave, decisions);
+        for (const auto& d : decisions)
+          if (d.admitted()) issued[t].push_back(d.flow_id);
+      }
+    });
+  for (auto& w : workers) w.join();
+
+  std::size_t count = 0;
+  for (const auto& ids : issued)
+    for (const traffic::FlowId id : ids) {
+      ++count;
+      ASSERT_LT(id, traffic::FlowId{1} << 53);
+      ASSERT_EQ(static_cast<traffic::FlowId>(static_cast<double>(id)), id);
+    }
+  EXPECT_EQ(count, 1000u);  // 20 x 50 offers, exactly the link's 1000 slots
+  EXPECT_EQ(ctl.active_flows(), 1000u);
+}
+
+// One thread alternating between two controllers holds lane 0 on both, so
+// each controller's ids still follow its own oracle's 1, 2, 3...
+TEST(ConcurrentAdmission, AlternatingControllersOnOneThreadMatchOracleIds) {
+  const auto topo = net::line(4);
+  const net::ServerGraph graph(topo, 6u);
+  const auto classes = ClassSet::two_class(kVoice, milliseconds(100), 0.002);
+  RoutingTable table;
+  table.set({0, 3, 0}, graph.map_path({0, 1, 2, 3}));
+  table.set({1, 3, 0}, graph.map_path({1, 2, 3}));
+  table.set({2, 3, 0}, graph.map_path({2, 3}));
+  const std::vector<traffic::Demand> demands{{0, 3, 0}, {1, 3, 0}, {2, 3, 0}};
+
+  std::array<std::unique_ptr<AdmissionController>, 2> ctl;
+  std::array<std::unique_ptr<SequentialAdmissionController>, 2> oracle;
+  std::array<std::vector<traffic::FlowId>, 2> active;
+  for (std::size_t c = 0; c < 2; ++c) {
+    ctl[c] = std::make_unique<AdmissionController>(graph, classes, table);
+    oracle[c] =
+        std::make_unique<SequentialAdmissionController>(graph, classes, table);
+  }
+  util::Xoshiro256 rng(0xA17E);
+  std::size_t admitted = 0;
+  for (int step = 0; step < 2000; ++step) {
+    const std::size_t c = step % 2;
+    if (!active[c].empty() && rng.bernoulli(0.4)) {
+      const auto pos = rng.uniform_index(active[c].size());
+      const traffic::FlowId id = active[c][pos];
+      active[c][pos] = active[c].back();
+      active[c].pop_back();
+      ASSERT_TRUE(ctl[c]->release(id));
+      ASSERT_TRUE(oracle[c]->release(id));
+    } else {
+      const auto& d = demands[rng.uniform_index(demands.size())];
+      const auto got = ctl[c]->request(d.src, d.dst, d.class_index);
+      const auto want = oracle[c]->request(d.src, d.dst, d.class_index);
+      ASSERT_EQ(got.outcome, want.outcome) << "step " << step;
+      if (!want.admitted()) continue;
+      ASSERT_EQ(got.flow_id, want.flow_id) << "step " << step;
+      active[c].push_back(got.flow_id);
+      ++admitted;
+    }
+  }
+  EXPECT_GT(admitted, 100u);
+}
+
+// A routing table whose node ids are too sparse for the dense route index
+// is refused at construction rather than served from a slower path.
+TEST(ConcurrentAdmission, RejectsNodeIdsTooSparseForTheDenseIndex) {
+  LineRig rig;
+  RoutingTable sparse = rig.table;
+  sparse.set({0, 1u << 20, 0}, rig.graph.map_path({0, 1}));
+  EXPECT_THROW(AdmissionController(rig.graph, rig.classes, sparse),
+               std::invalid_argument);
 }
 
 }  // namespace
