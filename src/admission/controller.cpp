@@ -12,18 +12,8 @@ namespace ubac::admission {
 
 namespace {
 
-std::atomic<std::uint64_t> g_next_controller_uid{1};
-std::atomic<std::uint64_t> g_next_thread_token{1};
-
-/// This thread's lane on the controller it last admitted through. One
-/// entry is enough for the common one-controller-per-worker shape; a
-/// thread alternating controllers re-finds its lane by token (claim_lane).
-struct LaneCache {
-  std::uint64_t controller = 0;  ///< uid_ of the controller, 0 = none
-  std::uint32_t lane = 0;
-};
-thread_local LaneCache t_lane_cache;
-thread_local std::uint64_t t_thread_token = 0;  ///< 0 until first claim
+/// This thread's lane on the controller it last admitted through.
+thread_local util::LaneClaims::Cache t_lane_cache;
 
 }  // namespace
 
@@ -43,8 +33,7 @@ ConcurrentAdmissionController::ConcurrentAdmissionController(
     : graph_(&graph), classes_(&classes), table_(std::move(table)),
       servers_(graph.size()),
       slots_(std::make_unique<Slot[]>(classes.size() * graph.size())),
-      lanes_(std::make_unique<Lane[]>(kLaneCount)),
-      uid_(g_next_controller_uid.fetch_add(1, std::memory_order_relaxed)) {
+      lanes_(std::make_unique<Lane[]>(kLaneCount)) {
   // The fixed-point overflow proof (traffic/flow.hpp) only covers graphs
   // within the grid's static bounds; refuse anything larger up front.
   if (servers_ > traffic::kMaxServers)
@@ -224,32 +213,7 @@ bool ConcurrentAdmissionController::reserve_route(
 
 ConcurrentAdmissionController::Lane&
 ConcurrentAdmissionController::own_lane() {
-  const LaneCache& cache = t_lane_cache;
-  return lanes_[cache.controller == uid_ ? cache.lane : claim_lane()];
-}
-
-std::uint32_t ConcurrentAdmissionController::claim_lane() {
-  if (t_thread_token == 0)
-    t_thread_token =
-        g_next_thread_token.fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t token = t_thread_token;
-  // Lanes are claimed in index order and never given back, so the claimed
-  // ones form a prefix: this thread's lane, if it has one, comes before
-  // the first unclaimed lane. Relaxed is enough — the owner word only
-  // routes threads; the lane's data is published by its mutex.
-  std::uint32_t lane = 0;
-  for (; lane < kLaneCount; ++lane) {
-    std::uint64_t owner = lanes_[lane].owner.load(std::memory_order_relaxed);
-    if (owner == token) break;
-    if (owner == 0 && lanes_[lane].owner.compare_exchange_strong(
-                          owner, token, std::memory_order_relaxed))
-      break;
-  }
-  // Every lane taken: share one. The lane mutex keeps a shared lane
-  // correct; only the core-locality is lost.
-  if (lane == kLaneCount) lane = static_cast<std::uint32_t>(token % kLaneCount);
-  t_lane_cache = LaneCache{uid_, lane};
-  return lane;
+  return lanes_[claims_.own(t_lane_cache)];
 }
 
 traffic::FlowId ConcurrentAdmissionController::register_flow(

@@ -93,6 +93,7 @@
 #include "net/server_graph.hpp"
 #include "traffic/flow.hpp"
 #include "traffic/service_class.hpp"
+#include "util/lane_claims.hpp"
 
 namespace ubac::admission {
 
@@ -261,7 +262,7 @@ class ConcurrentAdmissionController {
 
   /// Registry lanes; a flow id carries its lane in the bits from
   /// kLaneShift up, its lane-local sequence below.
-  static constexpr std::size_t kLaneCount = 16;
+  static constexpr std::size_t kLaneCount = util::LaneClaims::kLanes;
   static constexpr unsigned kLaneShift = 48;
   /// Largest dense route index the constructor will build (x 24 bytes).
   static constexpr std::size_t kMaxRouteCells = std::size_t{1} << 22;
@@ -287,8 +288,6 @@ class ConcurrentAdmissionController {
     FlowShardMap flows;  ///< guarded by mutex
     /// Last id issued, guarded by mutex; starts at lane << kLaneShift.
     traffic::FlowId last_id = 0;
-    /// Token of the thread that claimed the lane; 0 while unclaimed.
-    std::atomic<std::uint64_t> owner{0};
   };
 
   Slot& slot(std::size_t class_index, net::ServerId server) const {
@@ -306,7 +305,6 @@ class ConcurrentAdmissionController {
   }
   /// The calling thread's lane, claimed on first use.
   Lane& own_lane();
-  std::uint32_t claim_lane();
 
   /// CAS loop for one hop: add `rho` iff the result stays within `cap`.
   static bool try_reserve(Slot& s, RateFx rho, RateFx cap);
@@ -396,10 +394,9 @@ class ConcurrentAdmissionController {
   /// Registry lanes; written only by the threads admitting into and
   /// releasing from them, so no registry line is shared by default.
   std::unique_ptr<Lane[]> lanes_;
-  /// Process-unique tag the per-thread lane cache is keyed by (a later
-  /// controller at the same address must not inherit the cache).
-  const std::uint64_t uid_;
   ControllerTelemetry* telemetry_ = nullptr;
+  /// Which thread holds which lane.
+  util::LaneClaims claims_;
 };
 
 /// The run-time controller of the repo; concurrent since the atomic

@@ -1,6 +1,11 @@
 #include "telemetry/envelope.hpp"
 
+#include <sys/mman.h>
+
+#include <atomic>
+#include <bit>
 #include <cmath>
+#include <new>
 
 namespace ubac::telemetry {
 namespace {
@@ -26,6 +31,20 @@ std::uint64_t mix(std::uint64_t x) noexcept {
   return x ^ (x >> 31);
 }
 
+/// Anonymous pages read as zero and become resident only when written,
+/// so the payload costs memory only for slots record() has fed.
+void* map_zero_pages(std::size_t bytes) {
+  void* pages = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (pages == MAP_FAILED) throw std::bad_alloc();
+  return pages;
+}
+
+template <class T>
+std::atomic_ref<T> at(T& word) noexcept {
+  return std::atomic_ref<T>(word);
+}
+
 }  // namespace
 
 std::atomic<ArrivalRecorder*> ArrivalRecorder::g_active_{nullptr};
@@ -34,20 +53,58 @@ void ArrivalRecorder::install(ArrivalRecorder* recorder) {
   g_active_.store(recorder, std::memory_order_release);
 }
 
+void ArrivalRecorder::Unmap::operator()(Payload* p) const noexcept {
+  if (p != nullptr) munmap(p, bytes);
+}
+
 ArrivalRecorder::ArrivalRecorder(Options options)
     : capacity_(round_up_pow2(options.capacity < 2 ? 2 : options.capacity)),
       mask_(capacity_ - 1),
-      slots_(new Slot[capacity_]) {}
+      keys_(std::make_unique<std::atomic<std::uint64_t>[]>(capacity_)),
+      meta_(std::make_unique<Meta[]>(capacity_)),
+      payload_(static_cast<Payload*>(
+                   map_zero_pages(capacity_ * sizeof(Payload))),
+               Unmap{capacity_ * sizeof(Payload)}) {}
 
-ArrivalRecorder::Slot* ArrivalRecorder::find(
-    traffic::FlowId flow_id) const noexcept {
+std::size_t ArrivalRecorder::flow_count() const noexcept {
+  // Released first: every counted release follows its claim, so the
+  // difference cannot go negative at quiescence; clamp it mid-churn.
+  const std::uint64_t released = released_.value();
+  const std::uint64_t claimed = claimed_.value();
+  return claimed > released ? static_cast<std::size_t>(claimed - released)
+                            : 0;
+}
+
+std::size_t ArrivalRecorder::find(traffic::FlowId flow_id) const noexcept {
   const std::uint64_t key = flow_id + 1;
   const std::size_t home = static_cast<std::size_t>(mix(flow_id)) & mask_;
   for (std::size_t i = 0; i < kProbeWindow; ++i) {
-    Slot& slot = slots_[(home + i) & mask_];
-    if (slot.key.load(std::memory_order_acquire) == key) return &slot;
+    const std::size_t slot = (home + i) & mask_;
+    if (keys_[slot].load(std::memory_order_acquire) == key) return slot;
   }
-  return nullptr;
+  return kNoSlot;
+}
+
+void ArrivalRecorder::scrub(std::size_t slot) noexcept {
+  // Records for the new id can only start after on_admit returns (the
+  // caller learns the id from the admit), so no writer of this occupant
+  // races the scrub. The mask is cleared first: a collect() that loads
+  // it afterwards skips every bucket still being zeroed.
+  Meta& meta = meta_[slot];
+  std::uint64_t dirty = meta.dirty.load(std::memory_order_relaxed);
+  const bool scalars = meta.scalars.load(std::memory_order_relaxed) != 0;
+  if (dirty == 0 && !scalars) return;  // payload never written: untouched
+  meta.dirty.store(0, std::memory_order_release);
+  meta.scalars.store(0, std::memory_order_release);
+  Payload& payload = payload_.get()[slot];
+  at(payload.registered_ns).store(0, std::memory_order_relaxed);
+  at(payload.total_units).store(0, std::memory_order_relaxed);
+  Bucket* buckets = &payload.buckets[0][0];
+  for (; dirty != 0; dirty &= dirty - 1) {
+    Bucket& bucket = buckets[std::countr_zero(dirty)];
+    at(bucket.epoch).store(0, std::memory_order_relaxed);
+    at(bucket.units).store(0, std::memory_order_relaxed);
+  }
 }
 
 void ArrivalRecorder::on_admit(traffic::FlowId flow_id,
@@ -57,26 +114,17 @@ void ArrivalRecorder::on_admit(traffic::FlowId flow_id,
   // Full existence scan before claiming: a freed slot earlier in the
   // probe path must not shadow a still-live registration further along
   // (re-admit stays a no-op even after neighbour churn).
-  if (find(flow_id) != nullptr) return;
+  if (find(flow_id) != kNoSlot) return;
   for (std::size_t i = 0; i < kProbeWindow; ++i) {
-    Slot& slot = slots_[(home + i) & mask_];
-    std::uint64_t expected = slot.key.load(std::memory_order_acquire);
+    const std::size_t slot = (home + i) & mask_;
+    std::uint64_t expected = keys_[slot].load(std::memory_order_acquire);
     if (expected == key) return;  // already registered
     if (expected != 0) continue;
-    if (slot.key.compare_exchange_strong(expected, key,
-                                         std::memory_order_acq_rel)) {
-      // Slot claimed: scrub the previous occupant's state. Records for
-      // this id can only start after on_admit returns (the caller learns
-      // the id from the admit), so no writer races the scrub.
-      slot.class_index.store(class_index, std::memory_order_relaxed);
-      slot.registered_ns.store(0, std::memory_order_relaxed);
-      slot.total_units.store(0, std::memory_order_relaxed);
-      for (auto& scale : slot.buckets)
-        for (auto& bucket : scale) {
-          bucket.epoch.store(-1, std::memory_order_relaxed);
-          bucket.units.store(0, std::memory_order_relaxed);
-        }
-      live_.fetch_add(1, std::memory_order_acq_rel);
+    if (keys_[slot].compare_exchange_strong(expected, key,
+                                            std::memory_order_acq_rel)) {
+      meta_[slot].class_index.store(class_index, std::memory_order_relaxed);
+      scrub(slot);
+      claimed_.add();
       return;
     }
     if (expected == key) return;  // lost the race to ourselves
@@ -85,18 +133,18 @@ void ArrivalRecorder::on_admit(traffic::FlowId flow_id,
 }
 
 void ArrivalRecorder::on_release(traffic::FlowId flow_id) noexcept {
-  Slot* slot = find(flow_id);
-  if (!slot) return;
+  const std::size_t slot = find(flow_id);
+  if (slot == kNoSlot) return;
   std::uint64_t expected = flow_id + 1;
-  if (slot->key.compare_exchange_strong(expected, 0,
-                                        std::memory_order_acq_rel))
-    live_.fetch_sub(1, std::memory_order_acq_rel);
+  if (keys_[slot].compare_exchange_strong(expected, 0,
+                                          std::memory_order_acq_rel))
+    released_.add();
 }
 
 void ArrivalRecorder::record(traffic::FlowId flow_id, double bits,
                              std::int64_t t_ns) noexcept {
-  Slot* slot = find(flow_id);
-  if (!slot) {
+  const std::size_t slot = find(flow_id);
+  if (slot == kNoSlot) {
     dropped_records_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
@@ -104,64 +152,86 @@ void ArrivalRecorder::record(traffic::FlowId flow_id, double bits,
   // Round DOWN to the 2^-10 grid: Ê never overcounts true arrivals.
   const std::uint64_t units =
       static_cast<std::uint64_t>(bits * kUnitsPerBit);
-  std::int64_t reg = slot->registered_ns.load(std::memory_order_relaxed);
+  Meta& meta = meta_[slot];
+  Payload& payload = payload_.get()[slot];
+  std::int64_t reg = at(payload.registered_ns).load(std::memory_order_relaxed);
   if (reg == 0)  // first arrival stamps the observation epoch
-    slot->registered_ns.compare_exchange_strong(reg, t_ns,
-                                                std::memory_order_relaxed);
-  slot->total_units.fetch_add(units, std::memory_order_relaxed);
+    at(payload.registered_ns)
+        .compare_exchange_strong(reg, t_ns, std::memory_order_relaxed);
+  at(payload.total_units).fetch_add(units, std::memory_order_relaxed);
+  if (meta.scalars.load(std::memory_order_relaxed) == 0)
+    meta.scalars.store(1, std::memory_order_release);
+  const std::uint64_t dirty = meta.dirty.load(std::memory_order_relaxed);
+  std::uint64_t touched = 0;
   for (std::size_t s = 0; s < kScales; ++s) {
     const std::int64_t width =
         kWindowNs[s] / static_cast<std::int64_t>(kBucketsPerScale);
     const std::int64_t epoch = t_ns / width;
-    Bucket& bucket =
-        slot->buckets[s][static_cast<std::size_t>(epoch) % kBucketsPerScale];
-    std::int64_t seen = bucket.epoch.load(std::memory_order_acquire);
+    const std::size_t b = static_cast<std::size_t>(epoch) % kBucketsPerScale;
+    Bucket& bucket = payload.buckets[s][b];
+    std::atomic_ref<std::int64_t> bucket_epoch(bucket.epoch);
+    std::int64_t seen = bucket_epoch.load(std::memory_order_acquire);
     if (seen != epoch) {
       if (seen > epoch) continue;  // late arrival into a recycled bucket
-      if (bucket.epoch.compare_exchange_strong(seen, epoch,
+      if (bucket_epoch.compare_exchange_strong(seen, epoch,
                                                std::memory_order_acq_rel)) {
         // A concurrent add between this CAS and the zeroing is lost:
         // undercount, the conservative direction.
-        bucket.units.store(0, std::memory_order_relaxed);
+        at(bucket.units).store(0, std::memory_order_relaxed);
       } else if (seen != epoch) {
         continue;  // someone advanced the bucket past us
       }
     }
-    bucket.units.fetch_add(units, std::memory_order_relaxed);
+    at(bucket.units).fetch_add(units, std::memory_order_relaxed);
+    touched |= std::uint64_t{1} << (s * kBucketsPerScale + b);
   }
+  // Publish the bits after the bucket writes: a collect() that has not
+  // seen a bit yet skips the bucket, which can only undercount.
+  if ((touched & ~dirty) != 0)
+    meta.dirty.fetch_or(touched, std::memory_order_release);
 }
 
 void ArrivalRecorder::collect(std::int64_t now_ns,
                               std::vector<FlowWindows>& out) const {
   for (std::size_t i = 0; i < capacity_; ++i) {
-    const Slot& slot = slots_[i];
-    const std::uint64_t key = slot.key.load(std::memory_order_acquire);
+    const std::uint64_t key = keys_[i].load(std::memory_order_acquire);
     if (key == 0) continue;
+    const Meta& meta = meta_[i];
     FlowWindows fw;
     fw.flow_id = key - 1;
-    fw.class_index = slot.class_index.load(std::memory_order_relaxed);
-    fw.registered_ns = slot.registered_ns.load(std::memory_order_relaxed);
-    fw.total_bits =
-        static_cast<double>(slot.total_units.load(std::memory_order_relaxed)) /
-        kUnitsPerBit;
-    for (std::size_t s = 0; s < kScales; ++s) {
-      const std::int64_t width =
-          kWindowNs[s] / static_cast<std::int64_t>(kBucketsPerScale);
-      const std::int64_t newest = now_ns / width;
-      const std::int64_t oldest =
-          newest - static_cast<std::int64_t>(kBucketsPerScale) + 1;
-      std::uint64_t sum = 0;
-      for (const Bucket& bucket : slot.buckets[s]) {
-        const std::int64_t epoch =
-            bucket.epoch.load(std::memory_order_acquire);
-        if (epoch >= oldest && epoch <= newest)
-          sum += bucket.units.load(std::memory_order_relaxed);
+    fw.class_index = meta.class_index.load(std::memory_order_relaxed);
+    const std::uint64_t dirty = meta.dirty.load(std::memory_order_acquire);
+    const bool scalars = meta.scalars.load(std::memory_order_acquire) != 0;
+    if (dirty != 0 || scalars) {
+      Payload& payload = payload_.get()[i];
+      if (scalars) {
+        fw.registered_ns =
+            at(payload.registered_ns).load(std::memory_order_relaxed);
+        fw.total_bits = static_cast<double>(at(payload.total_units).load(
+                            std::memory_order_relaxed)) /
+                        kUnitsPerBit;
       }
-      fw.window_bits[s] = static_cast<double>(sum) / kUnitsPerBit;
+      for (std::size_t s = 0; s < kScales; ++s) {
+        const std::int64_t width =
+            kWindowNs[s] / static_cast<std::int64_t>(kBucketsPerScale);
+        const std::int64_t newest = now_ns / width;
+        const std::int64_t oldest =
+            newest - static_cast<std::int64_t>(kBucketsPerScale) + 1;
+        std::uint64_t sum = 0;
+        for (std::size_t b = 0; b < kBucketsPerScale; ++b) {
+          if (((dirty >> (s * kBucketsPerScale + b)) & 1) == 0) continue;
+          Bucket& bucket = payload.buckets[s][b];
+          const std::int64_t epoch =
+              at(bucket.epoch).load(std::memory_order_acquire);
+          if (epoch >= oldest && epoch <= newest)
+            sum += at(bucket.units).load(std::memory_order_relaxed);
+        }
+        fw.window_bits[s] = static_cast<double>(sum) / kUnitsPerBit;
+      }
     }
     // A slot released (or recycled) mid-read carries another flow's
     // partial data: drop it, the next collect() sees a settled view.
-    if (slot.key.load(std::memory_order_acquire) != key) continue;
+    if (keys_[i].load(std::memory_order_acquire) != key) continue;
     out.push_back(fw);
   }
 }

@@ -30,6 +30,19 @@
 /// linear probe, no allocation, no locks); a full probe window counts a
 /// dropped registration rather than blocking the admit path.
 ///
+/// The table is split by who writes it. Admit and release touch only
+/// dense arrays: the keys (8 B a slot, so a 16-slot probe window reads
+/// 128 contiguous bytes) and the meta words (16 B a slot: class, a 64-bit
+/// dirty mask with one bit per [scale][bucket], and a "scalars written"
+/// flag). The 1 KiB window payload is written only by record(), which
+/// sets a bucket's dirty bit once the bucket holds data of the current
+/// occupant; a claim scrubs only the dirty buckets, and collect() sums
+/// only dirty buckets, so a bit published late can only undercount. The
+/// payload is mapped zero-filled, so a slot nothing was ever recorded
+/// into never becomes resident: 24 resident bytes a slot when only
+/// admission feeds the recorder. The live count is a pair of striped
+/// claimed/released counters, exact at quiescence.
+///
 /// A recorder is clock-domain agnostic but single-domain: feed it either
 /// wall-clock EventTracer::now_ns() stamps (PacedLoadDriver offered
 /// load) or sim-time nanoseconds (NetworkSim delivery), never both.
@@ -40,6 +53,7 @@
 #include <memory>
 #include <vector>
 
+#include "telemetry/metrics.hpp"
 #include "traffic/flow.hpp"
 
 namespace ubac::telemetry {
@@ -115,10 +129,9 @@ class ArrivalRecorder {
   void collect(std::int64_t now_ns, std::vector<FlowWindows>& out) const;
 
   std::size_t capacity() const noexcept { return capacity_; }
-  /// Live registered flows (approximate under churn).
-  std::size_t flow_count() const noexcept {
-    return live_.load(std::memory_order_acquire);
-  }
+  /// Live registered flows (approximate under churn, exact at
+  /// quiescence).
+  std::size_t flow_count() const noexcept;
   /// Registrations refused because the probe window was full.
   std::uint64_t dropped_registrations() const noexcept {
     return dropped_registrations_.load(std::memory_order_relaxed);
@@ -129,33 +142,59 @@ class ArrivalRecorder {
   }
 
  private:
+  static constexpr std::size_t kNoSlot = ~std::size_t{0};
+
   /// One sub-bucket: absolute bucket number + arrival units in it.
   /// A writer observing a stale epoch CASes it forward and zeroes the
   /// units; a concurrent add between the CAS and the zeroing is lost
   /// (undercount — conservative).
   struct Bucket {
-    std::atomic<std::int64_t> epoch{-1};
-    std::atomic<std::uint64_t> units{0};
+    std::int64_t epoch;
+    std::uint64_t units;
   };
 
-  struct Slot {
-    /// Flow id + 1 ("key"); 0 = free. Offset by one so flow id 0 is
-    /// representable.
-    std::atomic<std::uint64_t> key{0};
-    std::atomic<std::uint32_t> class_index{0};
-    std::atomic<std::int64_t> registered_ns{0};
-    std::atomic<std::uint64_t> total_units{0};
+  /// A slot's windows. Plain words accessed through std::atomic_ref, so
+  /// the array can start on zero pages the kernel maps on first write.
+  struct Payload {
+    std::int64_t registered_ns;
+    std::uint64_t total_units;
     Bucket buckets[kScales][kBucketsPerScale];
   };
 
-  Slot* find(traffic::FlowId flow_id) const noexcept;
+  /// The per-slot words a claim writes.
+  struct Meta {
+    /// Bit s * kBucketsPerScale + b: buckets[s][b] holds this occupant's
+    /// data. Set by record() after the bucket write, cleared by a claim.
+    std::atomic<std::uint64_t> dirty{0};
+    std::atomic<std::uint32_t> class_index{0};
+    /// Nonzero once record() wrote registered_ns / total_units.
+    std::atomic<std::uint32_t> scalars{0};
+  };
+  static_assert(kScales * kBucketsPerScale == 64,
+                "one dirty bit per bucket must fit a 64-bit mask");
+  static_assert(sizeof(Meta) == 16);
+
+  struct Unmap {
+    std::size_t bytes = 0;
+    void operator()(Payload* p) const noexcept;
+  };
+
+  /// Slot index holding `flow_id`, or kNoSlot.
+  std::size_t find(traffic::FlowId flow_id) const noexcept;
+  /// Clear the previous occupant's windows from a freshly claimed slot.
+  void scrub(std::size_t slot) noexcept;
 
   static std::atomic<ArrivalRecorder*> g_active_;
 
   std::size_t capacity_;  ///< power of two
   std::size_t mask_;
-  std::unique_ptr<Slot[]> slots_;
-  std::atomic<std::size_t> live_{0};
+  /// Flow id + 1 per slot ("key"); 0 = free. Offset by one so flow id 0
+  /// is representable.
+  std::unique_ptr<std::atomic<std::uint64_t>[]> keys_;
+  std::unique_ptr<Meta[]> meta_;
+  std::unique_ptr<Payload, Unmap> payload_;
+  Counter claimed_;
+  Counter released_;
   std::atomic<std::uint64_t> dropped_registrations_{0};
   std::atomic<std::uint64_t> dropped_records_{0};
 };

@@ -1,9 +1,11 @@
 #include "telemetry/event_trace.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <functional>
+#include <new>
 #include <thread>
 
 namespace ubac::telemetry {
@@ -26,6 +28,9 @@ std::uint64_t next_draw() noexcept {
   state ^= state >> 27;
   return state * 0x2545F4914F6CDD1Dull;
 }
+
+/// This thread's lane on the tracer it last recorded into.
+thread_local util::LaneClaims::Cache t_lane_cache;
 
 double next_unit() noexcept {
   return static_cast<double>(next_draw() >> 11) * 0x1p-53;
@@ -71,7 +76,12 @@ const char* to_string(TraceEventKind kind) {
 EventTracer::EventTracer(std::size_t capacity, double sampling)
     : capacity_(round_up_pow2(capacity == 0 ? 1 : capacity)),
       sampling_(sampling),
-      slots_(std::make_unique<Slot[]>(capacity_)) {}
+      lanes_(std::make_unique<Lane[]>(util::LaneClaims::kLanes)) {}
+
+EventTracer::~EventTracer() {
+  for (std::size_t l = 0; l < util::LaneClaims::kLanes; ++l)
+    delete[] lanes_[l].ring.load(std::memory_order_relaxed);
+}
 
 bool EventTracer::should_sample() noexcept {
   if (sampling_ >= 1.0) return true;
@@ -104,51 +114,43 @@ bool EventTracer::should_sample() noexcept {
 }
 
 void EventTracer::record(TraceEvent ev) noexcept {
-  const std::uint64_t seq = head_.fetch_add(1, std::memory_order_acq_rel);
-  ev.seq = seq;
   if (ev.timestamp_ns == 0) ev.timestamp_ns = now_ns();
-  Slot& slot = slots_[seq & (capacity_ - 1)];
-  // Per-slot seqlock with writer exclusion. Two writers meet at one slot
-  // only when one has been lapped by a whole ring rotation; without
-  // exclusion their payload copies would race. The stamp holds
-  // 2 * (seq + 1) once published and goes odd while a writer owns the
-  // slot, so:
-  //   * a writer that finds a claim >= its own is the lapped one — its
-  //     event is stale by a full ring and is dropped;
-  //   * a writer that finds an older claim mid-write waits it out (bounded
-  //     by one payload copy), then takes the slot;
-  // which guarantees the newest seq's payload is what quiesces in place.
-  const std::uint64_t published = 2 * (seq + 1);
-  std::uint64_t cur = slot.stamp.load(std::memory_order_relaxed);
-  for (;;) {
-    if (cur >= published) return;  // lapped: a newer event owns this slot
-    if (cur & 1) {  // older writer mid-copy; it cannot block, so spin
-      cur = slot.stamp.load(std::memory_order_relaxed);
-      continue;
+  Lane& lane = lanes_[claims_.own(t_lane_cache)];
+  // Claim seq and cursor together: on a shared lane a writer preempted
+  // between the two claims would otherwise let the lane's cursor order
+  // drift from seq order, and the lane could then lap an event that is
+  // still among the newest `capacity` seqs.
+  while (lane.claiming.exchange(true, std::memory_order_acquire))
+    while (lane.claiming.load(std::memory_order_relaxed)) {
     }
-    if (slot.stamp.compare_exchange_weak(cur, published | 1,
-                                         std::memory_order_acq_rel,
-                                         std::memory_order_relaxed))
-      break;
+  ev.seq = head_.fetch_add(1, std::memory_order_relaxed);
+  const std::uint64_t cursor = lane.cursor++;
+  Slot* ring = lane.ring.load(std::memory_order_relaxed);
+  if (ring == nullptr) {
+    ring = new (std::nothrow) Slot[capacity_];
+    lane.ring.store(ring, std::memory_order_release);
   }
-  slot.ev = ev;
-  slot.stamp.store(published, std::memory_order_release);
+  lane.claiming.store(false, std::memory_order_release);
+  // Out of memory for a first ring: the event is counted, not retained.
+  if (ring != nullptr) ring[cursor & (capacity_ - 1)].publish(ev.seq, ev);
 }
 
 std::vector<TraceEvent> EventTracer::snapshot() const {
-  const std::uint64_t head = head_.load(std::memory_order_acquire);
-  const std::uint64_t n = head < capacity_ ? head : capacity_;
   std::vector<TraceEvent> events;
-  events.reserve(n);
-  for (std::uint64_t seq = head - n; seq < head; ++seq) {
-    const Slot& slot = slots_[seq & (capacity_ - 1)];
-    const std::uint64_t published = 2 * (seq + 1);
-    const std::uint64_t before = slot.stamp.load(std::memory_order_acquire);
-    if (before != published) continue;  // mid-write or already overwritten
-    TraceEvent ev = slot.ev;
-    if (slot.stamp.load(std::memory_order_acquire) != published) continue;
-    events.push_back(ev);
+  for (std::size_t l = 0; l < util::LaneClaims::kLanes; ++l) {
+    const Slot* ring = lanes_[l].ring.load(std::memory_order_acquire);
+    if (ring == nullptr) continue;
+    TraceEvent ev;
+    for (std::size_t i = 0; i < capacity_; ++i)
+      if (ring[i].read(ev)) events.push_back(ev);
   }
+  std::sort(events.begin(), events.end(),
+            [](const TraceEvent& a, const TraceEvent& b) {
+              return a.seq < b.seq;
+            });
+  if (events.size() > capacity_)
+    events.erase(events.begin(),
+                 events.end() - static_cast<std::ptrdiff_t>(capacity_));
   return events;
 }
 

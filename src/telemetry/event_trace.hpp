@@ -8,16 +8,23 @@
 /// the blocking hop and the observed utilization at decision time, a static
 /// reject-reason string, and a nanosecond timestamp.
 ///
-/// Writers claim a slot with one fetch_add and publish it through a
-/// per-slot seqlock, so the tracer is safe to call from the concurrent
-/// admission hot path; the only wait is the rare case of a writer lapped
-/// by a whole ring rotation, which briefly yields the slot to the newer
-/// event. The ring keeps the most recent `capacity` events: at
-/// sampling = 1.0 the last `capacity` recorded events are always
-/// retrievable (each of the last `capacity` sequence numbers maps to a
-/// distinct slot and nothing newer has overwritten it). snapshot() taken
-/// while writers are active is best-effort (slots mid-write are skipped);
-/// at quiescence it is exact.
+/// Each writer thread records into its own lane (util::LaneClaims, the
+/// claim the admission controller's registry lanes use): a power-of-two
+/// ring of `capacity` seqlock slots (seqlock.hpp) with a lane-local
+/// cursor, allocated when the lane's first event is recorded. The one
+/// shared write is the global `seq` claim, a fetch_add on a counter alone
+/// on its own 128-byte line; seq is record order across all lanes (events
+/// from other clock domains — simulator, alerts, actuator — are ordered
+/// by it, never by timestamp), and recorded() is exact. A thread past the
+/// 16th shares a lane; the lane's claim lock keeps cursor order equal to
+/// seq order there, and is uncontended on a lane with one writer.
+///
+/// snapshot() merges the lanes, sorts by seq and keeps the newest
+/// `capacity`. Each lane retains its own last `capacity` events, so at
+/// sampling = 1.0 and quiescence the snapshot is exactly the last
+/// `capacity` recorded events; taken while writers are active it is
+/// best-effort (slots mid-write are skipped). Memory is used lanes x
+/// capacity slots.
 ///
 /// Sampling < 1.0 keeps a uniform random subset via geometric skipping:
 /// the gap to the next sampled event is drawn once per hit, so a
@@ -32,7 +39,9 @@
 #include <vector>
 
 #include "telemetry/metrics.hpp"
+#include "telemetry/seqlock.hpp"
 #include "util/csv.hpp"
+#include "util/lane_claims.hpp"
 
 namespace ubac::telemetry {
 
@@ -77,20 +86,24 @@ class EventTracer {
  public:
   /// `capacity` is rounded up to a power of two; `sampling` in [0, 1].
   explicit EventTracer(std::size_t capacity, double sampling = 1.0);
+  ~EventTracer();
+
+  EventTracer(const EventTracer&) = delete;
+  EventTracer& operator=(const EventTracer&) = delete;
 
   /// True when the event should be recorded (Bernoulli(sampling) per
   /// call, realized as geometric gaps). Callers gate event *construction*
   /// on this so sampled-out decisions pay only the thread-local decrement.
   bool should_sample() noexcept;
 
-  /// Claims the next slot and stores `ev` (seq and, when 0, timestamp_ns
-  /// are filled in). Lock-free: the only wait is a writer lapped by a
-  /// full ring rotation briefly waiting out (or yielding to) the
-  /// colliding writer.
+  /// Stores `ev` in the calling thread's lane (seq and, when 0,
+  /// timestamp_ns are filled in). The only waits are a shared lane's
+  /// claim lock and a writer lapped by a full lane rotation briefly
+  /// waiting out (or yielding to) the colliding writer.
   void record(TraceEvent ev) noexcept;
 
   std::size_t capacity() const noexcept { return capacity_; }
-  /// Events written into the ring (post-sampling), total.
+  /// Events recorded (post-sampling), total; exact.
   std::uint64_t recorded() const noexcept {
     return head_.load(std::memory_order_acquire);
   }
@@ -108,18 +121,26 @@ class EventTracer {
   static std::int64_t now_ns() noexcept;
 
  private:
-  struct Slot {
-    /// 2 * (seq + 1) of the event the payload holds; odd while a writer
-    /// owns the slot; 0 while unwritten. The parity bit serializes the
-    /// rare lapped-writer collision (see record()).
-    std::atomic<std::uint64_t> stamp{0};
-    TraceEvent ev;
+  using Slot = SeqlockSlot<TraceEvent>;
+
+  /// One writer thread's ring. 128-byte aligned so neither a neighbouring
+  /// lane nor the adjacent-line prefetcher pulls another core's cursor.
+  struct alignas(128) Lane {
+    /// Held across the seq and cursor claims, so cursor order is seq order
+    /// even on a shared lane.
+    std::atomic<bool> claiming{false};
+    std::uint64_t cursor = 0;  ///< events claimed; guarded by `claiming`
+    /// capacity_ slots, allocated by the lane's first record().
+    std::atomic<Slot*> ring{nullptr};
   };
 
-  std::size_t capacity_;
+  /// The global seq claim, alone on its line: the only tracer word every
+  /// writer writes.
+  alignas(128) std::atomic<std::uint64_t> head_{0};
+  alignas(128) std::size_t capacity_;
   double sampling_;
-  std::unique_ptr<Slot[]> slots_;
-  std::atomic<std::uint64_t> head_{0};
+  std::unique_ptr<Lane[]> lanes_;
+  util::LaneClaims claims_;
   /// Striped: bumped on ~every decision when sampling is low, so a single
   /// shared cell would ping-pong across cores (measured ~17% on the
   /// 8-thread admission bench; striped it is <1%).

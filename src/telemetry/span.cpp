@@ -120,28 +120,9 @@ void SpanRecorder::end() {
 }
 
 void SpanRecorder::record(const SpanEvent& ev) noexcept {
-  const std::uint64_t seq = head_.fetch_add(1, std::memory_order_acq_rel);
-  Slot& slot = slots_[seq & (capacity_ - 1)];
-  // Per-slot seqlock with writer exclusion, as in EventTracer::record():
-  // stamp = 2 * (seq + 1) once published, odd while a writer owns the
-  // slot. A lapped writer drops its stale span; a newer writer waits out
-  // an older mid-copy, so the newest seq's payload quiesces in place.
-  const std::uint64_t published = 2 * (seq + 1);
-  std::uint64_t cur = slot.stamp.load(std::memory_order_relaxed);
-  for (;;) {
-    if (cur >= published) return;  // lapped: a newer span owns this slot
-    if (cur & 1) {
-      cur = slot.stamp.load(std::memory_order_relaxed);
-      continue;
-    }
-    if (slot.stamp.compare_exchange_weak(cur, published | 1,
-                                         std::memory_order_acq_rel,
-                                         std::memory_order_relaxed))
-      break;
-  }
-  slot.ev = ev;
-  slot.ev.seq = seq;
-  slot.stamp.store(published, std::memory_order_release);
+  SpanEvent stamped = ev;
+  stamped.seq = head_.fetch_add(1, std::memory_order_acq_rel);
+  slots_[stamped.seq & (capacity_ - 1)].publish(stamped.seq, stamped);
 }
 
 std::vector<SpanEvent> SpanRecorder::snapshot() const {
@@ -150,13 +131,9 @@ std::vector<SpanEvent> SpanRecorder::snapshot() const {
   std::vector<SpanEvent> events;
   events.reserve(n);
   for (std::uint64_t seq = head - n; seq < head; ++seq) {
-    const Slot& slot = slots_[seq & (capacity_ - 1)];
-    const std::uint64_t published = 2 * (seq + 1);
-    if (slot.stamp.load(std::memory_order_acquire) != published)
-      continue;  // overwritten or mid-write
-    SpanEvent ev = slot.ev;
-    if (slot.stamp.load(std::memory_order_acquire) != published) continue;
-    events.push_back(ev);
+    SpanEvent ev;
+    // Skip a slot mid-write or already overwritten by a newer span.
+    if (slots_[seq & (capacity_ - 1)].read(ev) == seq) events.push_back(ev);
   }
   return events;
 }

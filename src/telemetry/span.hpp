@@ -5,8 +5,9 @@
 ///
 /// A SpanRecorder captures nested wall-clock spans (name, category, thread,
 /// start, duration, one optional numeric argument) into a bounded
-/// power-of-two ring, the same claim-with-one-fetch_add / seqlock-publish
-/// scheme as EventTracer, so recording is safe from pool workers and the
+/// power-of-two ring: one fetch_add claims a seq, and the slot is
+/// published through the SeqlockSlot protocol EventTracer's lanes share
+/// (seqlock.hpp), so recording is safe from pool workers and the
 /// admission hot path alike. Tracing is *runtime-gated*: code is
 /// instrumented with UBAC_SPAN(...), whose disabled path is a single
 /// relaxed atomic load and branch (no recorder installed), measured to keep
@@ -32,6 +33,7 @@
 #include <vector>
 
 #include "telemetry/event_trace.hpp"
+#include "telemetry/seqlock.hpp"
 
 namespace ubac::telemetry {
 
@@ -112,12 +114,7 @@ class SpanRecorder {
   static std::int64_t now_ns() noexcept { return EventTracer::now_ns(); }
 
  private:
-  struct Slot {
-    /// 2 * (seq + 1) once published; odd while a writer owns the slot
-    /// (serializes the rare lapped-writer collision); 0 while unwritten.
-    std::atomic<std::uint64_t> stamp{0};
-    SpanEvent ev;
-  };
+  using Slot = SeqlockSlot<SpanEvent>;
 
   /// Per-thread open-span stack. The owning thread pushes/pops under
   /// `mutex`; open_spans() takes the same mutex, so the flight-recorder

@@ -147,6 +147,88 @@ TEST(Envelope, RegistrationLimitsAndGranularity) {
   EXPECT_LE(out[0].total_bits, 1.3);
 }
 
+// A released flow whose arrivals filled every bucket of every scale hands
+// its slot to a new id: the new flow's windows start at zero, so exactly
+// declared traffic on it is never flagged even though the previous
+// occupant offered 3x its bucket into the same slot.
+TEST(Envelope, ReclaimedSlotStartsTheNewFlowAtZero) {
+  ArrivalRecorder::Options options;
+  options.capacity = 2;
+  ArrivalRecorder recorder(options);
+  ConformanceMonitor monitor(recorder);
+  monitor.set_class_envelope(0, kVoice);
+
+  const std::int64_t t0 = kNsPerSec;
+  constexpr std::int64_t kStepNs = 5'000'000;
+  recorder.on_admit(1, 0);
+  recorder.on_admit(2, 0);  // holds the other slot
+  GreedyFeeder heavy(1, 3.0 * kVoice.burst, 3.0 * kVoice.rate, t0);
+  std::int64_t t = t0;
+  for (int i = 0; i < 2400; ++i) heavy.feed(recorder, t += kStepNs);
+  monitor.check(t);
+  ASSERT_EQ(monitor.violating_count(), 1u);
+
+  recorder.on_release(1);
+  recorder.on_admit(3, 0);  // the only free slot is flow 1's
+  EXPECT_EQ(recorder.flow_count(), 2u);
+  EXPECT_EQ(recorder.dropped_registrations(), 0u);
+  std::vector<ArrivalRecorder::FlowWindows> out;
+  recorder.collect(t, out);
+  ASSERT_EQ(out.size(), 2u);
+  for (const auto& fw : out) {
+    EXPECT_NE(fw.flow_id, 1u);
+    EXPECT_EQ(fw.registered_ns, 0);
+    EXPECT_EQ(fw.total_bits, 0.0);
+    for (double bits : fw.window_bits) EXPECT_EQ(bits, 0.0);
+  }
+
+  GreedyFeeder exact(3, kVoice.burst, kVoice.rate, t);
+  for (int i = 0; i < 2400; ++i) {
+    exact.feed(recorder, t += kStepNs);
+    if (i % 100 == 0) monitor.check(t);
+  }
+  monitor.check(t);
+  bool scored = false;
+  for (const auto& flow : monitor.flows()) {
+    if (flow.flow_id != 3) continue;
+    scored = true;
+    EXPECT_FALSE(flow.violating);
+    EXPECT_GE(flow.worst_margin, 0.0);
+  }
+  EXPECT_TRUE(scored);
+}
+
+// Eight threads churn private id ranges; at quiescence flow_count() is
+// exactly the registrations left standing, and collect() agrees.
+TEST(Envelope, FlowCountIsExactAfterConcurrentChurn) {
+  constexpr std::size_t kThreads = 8;
+  constexpr traffic::FlowId kIdsPerThread = 4'000;
+  ArrivalRecorder::Options options;
+  options.capacity = 1 << 16;
+  ArrivalRecorder recorder(options);
+  std::vector<std::thread> writers;
+  for (std::size_t w = 0; w < kThreads; ++w)
+    writers.emplace_back([&recorder, w] {
+      const traffic::FlowId base = w * kIdsPerThread;
+      for (traffic::FlowId i = 0; i < kIdsPerThread; ++i) {
+        recorder.on_admit(base + i, 0);
+        // Keep every third id; release the rest one step behind.
+        if (i > 0 && (i - 1) % 3 != 0) recorder.on_release(base + i - 1);
+      }
+    });
+  for (auto& thread : writers) thread.join();
+  ASSERT_EQ(recorder.dropped_registrations(), 0u);
+  // Per thread: ids with i % 3 == 0 stay, and so does the last id.
+  std::size_t kept = 0;
+  for (traffic::FlowId i = 0; i < kIdsPerThread; ++i)
+    if (i % 3 == 0 || i + 1 == kIdsPerThread) ++kept;
+  const std::size_t expected = kThreads * kept;
+  EXPECT_EQ(recorder.flow_count(), expected);
+  std::vector<ArrivalRecorder::FlowWindows> out;
+  recorder.collect(kNsPerSec, out);
+  EXPECT_EQ(out.size(), expected);
+}
+
 // ---------------------------------------------------------------------------
 // ConformanceMonitor: the one-sided estimator guarantee
 // ---------------------------------------------------------------------------

@@ -295,6 +295,90 @@ TEST(EventTracer, JsonAndCsvCarryTheEvents) {
   std::remove(path.c_str());
 }
 
+// 24 writers on 16 lanes: the threads past the 16th share lanes. The seq
+// claim stays global and exact, and the merged quiescent snapshot is
+// still exactly the last `capacity` seqs, oldest first, each once, with
+// every writer's own events in its record order.
+TEST(EventTracer, SharedLanesKeepTheLastCapacitySeqsExact) {
+  constexpr std::size_t kWriters = 24;
+  constexpr std::uint64_t kPerThread = 2'000;
+  EventTracer tracer(256, 1.0);
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < kWriters; ++t)
+    workers.emplace_back([&, t] {
+      for (std::uint64_t i = 0; i < kPerThread; ++i) {
+        TraceEvent ev;
+        ev.flow_id = t * kPerThread + i;
+        ev.timestamp_ns = 1;
+        tracer.record(ev);
+      }
+    });
+  for (auto& w : workers) w.join();
+  const std::uint64_t total = kWriters * kPerThread;
+  EXPECT_EQ(tracer.recorded(), total);
+  const auto events = tracer.snapshot();
+  ASSERT_EQ(events.size(), tracer.capacity());
+  std::vector<std::uint64_t> last_of(kWriters, 0);
+  std::vector<bool> seen(kWriters, false);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].seq, total - tracer.capacity() + i);
+    const std::size_t writer = events[i].flow_id / kPerThread;
+    ASSERT_LT(writer, kWriters);
+    if (seen[writer]) {
+      EXPECT_GT(events[i].flow_id, last_of[writer]);
+    }
+    seen[writer] = true;
+    last_of[writer] = events[i].flow_id;
+  }
+}
+
+// A thread alternating two tracers re-finds its lane in each; seqs,
+// retained events and counts stay per tracer.
+TEST(EventTracer, AlternatingTracersOnOneThreadStayIndependent) {
+  EventTracer a(8, 1.0);
+  EventTracer b(8, 1.0);
+  for (std::uint64_t i = 0; i < 20; ++i) {
+    TraceEvent ev;
+    ev.timestamp_ns = 1;
+    ev.flow_id = 1000 + i;
+    a.record(ev);
+    ev.flow_id = 2000 + i;
+    b.record(ev);
+  }
+  // A second thread takes its own lane in `a` only.
+  std::thread other([&] {
+    TraceEvent ev;
+    ev.timestamp_ns = 1;
+    for (std::uint64_t i = 0; i < 4; ++i) {
+      ev.flow_id = 3000 + i;
+      a.record(ev);
+    }
+  });
+  other.join();
+  EXPECT_EQ(a.recorded(), 24u);
+  EXPECT_EQ(b.recorded(), 20u);
+
+  const auto from_a = a.snapshot();
+  ASSERT_EQ(from_a.size(), 8u);
+  for (std::size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(from_a[i].seq, 16u + i);
+    EXPECT_EQ(from_a[i].flow_id, i < 4 ? 1016u + i : 3000u + (i - 4));
+  }
+  const auto from_b = b.snapshot();
+  ASSERT_EQ(from_b.size(), 8u);
+  for (std::size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(from_b[i].seq, 12u + i);
+    EXPECT_EQ(from_b[i].flow_id, 2012u + i);
+  }
+}
+
+TEST(EventTracer, UnwrittenTracerHasAnEmptySnapshot) {
+  const EventTracer tracer(64, 1.0);
+  EXPECT_EQ(tracer.recorded(), 0u);
+  EXPECT_TRUE(tracer.snapshot().empty());
+  EXPECT_EQ(tracer.to_json(), "[]");
+}
+
 // ---------------------------------------------------------------------------
 // Exporters: all three formats must carry the same values.
 
@@ -588,9 +672,9 @@ TEST(ControllerTelemetry, SequentialControllerReportsTheSameInstruments) {
   EXPECT_EQ(tracer.recorded(), admitted + rejected + 1);
 
   admission::update_utilization_gauges(registry, "sequential", ctl);
-  const auto* active =
-      registry.snapshot().find("ubac_admission_active_flows",
-                               {{"controller", "sequential"}});
+  const auto snap = registry.snapshot();
+  const auto* active = snap.find("ubac_admission_active_flows",
+                                 {{"controller", "sequential"}});
   ASSERT_NE(active, nullptr);
   EXPECT_EQ(active->value, static_cast<double>(ctl.active_flows()));
 }
@@ -699,8 +783,8 @@ TEST(SimTelemetry, DeliveredCounterAndPeriodicSamples) {
   sim.attach_telemetry(config);
   const auto results = sim.run(1.0);
 
-  const auto* delivered =
-      registry.snapshot().find("ubac_sim_packets_delivered_total");
+  const auto snap = registry.snapshot();
+  const auto* delivered = snap.find("ubac_sim_packets_delivered_total");
   ASSERT_NE(delivered, nullptr);
   EXPECT_EQ(delivered->value,
             static_cast<double>(results.packets_delivered));

@@ -423,6 +423,19 @@ bool parse_policy_bool(const telemetry::HttpRequest& request, const char* key,
   return true;
 }
 
+/// ArrivalRecorder slots for serve's offered load: the next power of two
+/// at or above four times the mean number of live flows (Little's law:
+/// arrival rate x mean holding time), never below 8192, so the recorder
+/// watches every held flow with room for the probe window.
+std::size_t recorder_capacity(
+    const admission::PacedLoadDriver::Options& load) {
+  const double live = load.arrival_rate * load.mean_holding;
+  std::size_t capacity = 8192;
+  while (capacity < 4.0 * live && capacity < (std::size_t{1} << 40))
+    capacity <<= 1;
+  return capacity;
+}
+
 /// Long-running live-telemetry mode (docs/observability.md): configure a
 /// verified routing table, keep a paced Poisson churn running against the
 /// concurrent controller, and serve the scrape endpoints until SIGINT (or
@@ -502,6 +515,14 @@ int cmd_serve(const util::ArgParser& args) {
                                              actuator_options);
   sampler.add_post_alert_hook([&actuator] { actuator.on_tick(); });
 
+  admission::PacedLoadDriver::Options load_options;
+  load_options.arrival_rate = args.get_double("load-rate", 50.0);
+  load_options.mean_holding = args.get_double("load-holding-s", 10.0);
+  load_options.seed = static_cast<std::uint64_t>(
+      std::max<long>(1, args.get_long("load-seed", 1)));
+  load_options.batch =
+      static_cast<std::size_t>(std::max<long>(1, args.get_long("batch", 1)));
+
   // Demand conformance plane (docs/observability.md): an ArrivalRecorder
   // installed behind the admission gate watches every held flow's offered
   // load, and a ConformanceMonitor checks the empirical envelopes against
@@ -514,7 +535,7 @@ int cmd_serve(const util::ArgParser& args) {
   std::unique_ptr<telemetry::ConformanceMonitor> monitor;
   if (conformance_on) {
     telemetry::ArrivalRecorder::Options recorder_options;
-    recorder_options.capacity = 8192;
+    recorder_options.capacity = recorder_capacity(load_options);
     recorder =
         std::make_unique<telemetry::ArrivalRecorder>(recorder_options);
     telemetry::ConformanceMonitor::Options monitor_options;
@@ -545,13 +566,6 @@ int cmd_serve(const util::ArgParser& args) {
         m, /*margin_threshold=*/0.0, alert_k));
   }
 
-  admission::PacedLoadDriver::Options load_options;
-  load_options.arrival_rate = args.get_double("load-rate", 50.0);
-  load_options.mean_holding = args.get_double("load-holding-s", 10.0);
-  load_options.seed = static_cast<std::uint64_t>(
-      std::max<long>(1, args.get_long("load-seed", 1)));
-  load_options.batch =
-      static_cast<std::size_t>(std::max<long>(1, args.get_long("batch", 1)));
   load_options.conformance = recorder.get();
   if (!misdeclare.empty()) {
     // --misdeclare=<fraction>,<factor>
