@@ -11,8 +11,11 @@
 //   --json[=path]         also write the BENCH rows as JSON
 //                         (default path BENCH_scale.json)
 
+#include <charconv>
 #include <chrono>
+#include <cstdio>
 #include <sstream>
+#include <stdexcept>
 
 #include "bench_common.hpp"
 #include "net/shortest_path.hpp"
@@ -28,20 +31,21 @@ std::vector<std::size_t> parse_sizes(const std::string& spec) {
   std::vector<std::size_t> sizes;
   std::stringstream ss(spec);
   std::string item;
-  while (std::getline(ss, item, ','))
-    if (!item.empty()) sizes.push_back(std::stoul(item));
+  while (std::getline(ss, item, ',')) {
+    if (item.empty()) continue;
+    std::size_t size = 0;
+    const char* last = item.data() + item.size();
+    const auto [end, ec] = std::from_chars(item.data(), last, size);
+    if (ec != std::errc() || end != last)
+      throw std::invalid_argument("--nodes: bad graph size '" + item + "'");
+    sizes.push_back(size);
+  }
   if (sizes.empty()) throw std::invalid_argument("--nodes: empty list");
   return sizes;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  util::ArgParser args(argc, argv);
-  args.describe("nodes", "comma-separated graph sizes (default 10,20,30,40)")
-      .describe("threads", "candidate-scoring threads (default 0 = hardware)")
-      .describe("json", "write BENCH rows as JSON (default BENCH_scale.json)")
-      .describe("trace-out", bench::kTraceOutHelp);
+/// The bench proper; errors propagate to main's usage report.
+int run(const util::ArgParser& args) {
   args.validate();
   bench::ScopedBenchTracing tracing(args);
 
@@ -117,4 +121,24 @@ int main(int argc, char** argv) {
     bench::write_summary_json(args.get("json", "BENCH_scale.json"), "scale",
                               summaries);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  util::ArgParser args(argc, argv);
+  args.describe("nodes", "comma-separated graph sizes (default 10,20,30,40)")
+      .describe("threads", "candidate-scoring threads (default 0 = hardware)")
+      .describe("json", "write BENCH rows as JSON (default BENCH_scale.json)")
+      .describe("trace-out", bench::kTraceOutHelp);
+  try {
+    return run(args);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n\n%s", e.what(),
+                 args.usage("bench_scale").c_str());
+    return 2;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }

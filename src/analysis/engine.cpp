@@ -164,7 +164,8 @@ struct FrontierScratch {
 }  // namespace
 
 FeasibilityStatus AnalysisEngine::run_frontier(
-    const std::vector<net::ServerId>& seeds, const net::ServerPath* extra,
+    const std::vector<net::ServerId>& seeds,
+    std::span<const net::ServerId> extra,
     std::vector<Seconds>& d, std::vector<EngineRouteId>& touched,
     std::vector<Seconds>& touched_delay, Seconds& extra_delay,
     int& iterations, std::size_t& active_count) const {
@@ -205,11 +206,10 @@ FeasibilityStatus AnalysisEngine::run_frontier(
       }
   };
   for (const net::ServerId s : seeds) activate(s);
-  if (extra != nullptr)
-    for (const net::ServerId s : *extra) {
-      sc.on_extra[s] = 1;
-      activate(s);
-    }
+  for (const net::ServerId s : extra) {
+    sc.on_extra[s] = 1;
+    activate(s);
+  }
 
   // Gauss-Seidel-style sweeps. The warm iteration is monotone
   // non-decreasing (the committed delays satisfy d = Z_old(d) <= Z_new(d)),
@@ -261,9 +261,9 @@ FeasibilityStatus AnalysisEngine::run_frontier(
       sc.sums[idx] = prefix;
       if (prefix > deadline_) violated = true;
     }
-    if (extra != nullptr) {
+    if (!extra.empty()) {
       Seconds prefix = 0.0;
-      for (const net::ServerId u : *extra) {
+      for (const net::ServerId u : extra) {
         if (sc.active[u]) relax(u, prefix, max_change);
         prefix += d[u];
       }
@@ -288,9 +288,9 @@ FeasibilityStatus AnalysisEngine::run_frontier(
         touched_delay.push_back(total);
         ok = ok && total <= deadline_;
       }
-      if (extra != nullptr) {
+      if (!extra.empty()) {
         Seconds total = 0.0;
-        for (const net::ServerId u : *extra) total += d[u];
+        for (const net::ServerId u : extra) total += d[u];
         extra_sum = total;
         ok = ok && total <= deadline_;
       }
@@ -421,7 +421,7 @@ const DelaySolution& AnalysisEngine::solve() {
     std::vector<EngineRouteId> touched;
     std::vector<Seconds> touched_delay;
     Seconds unused = 0.0;
-    status = run_frontier(pending_list_, nullptr, delay_, touched,
+    status = run_frontier(pending_list_, {}, delay_, touched,
                           touched_delay, unused, iterations, dirty);
     for (std::size_t r = 0; r < touched.size(); ++r)
       routes_[touched[r]].delay = touched_delay[r];
@@ -493,7 +493,8 @@ void AnalysisEngine::refresh_solution(int iterations) {
   solution_fresh_ = true;
 }
 
-RouteProbe AnalysisEngine::probe_route(const net::ServerPath& route) const {
+RouteProbe AnalysisEngine::probe_route(
+    std::span<const net::ServerId> route) const {
   UBAC_SPAN_ARG("engine.probe_route", "engine", "hops", route.size());
   if (!solution_fresh_ || poisoned_ || !pending_list_.empty())
     throw std::logic_error(
@@ -526,7 +527,7 @@ RouteProbe AnalysisEngine::probe_route(const net::ServerPath& route) const {
   static const std::vector<net::ServerId> kNoSeeds;
   RouteProbe probe;
   std::size_t dirty = 0;
-  probe.status = run_frontier(kNoSeeds, &route, d, touched, touched_delay,
+  probe.status = run_frontier(kNoSeeds, route, d, touched, touched_delay,
                               probe.route_delay, probe.iterations, dirty);
 
   for (std::size_t r = 0; r < touched.size(); ++r)
@@ -556,8 +557,8 @@ std::vector<RouteProbe> AnalysisEngine::probe_routes(
   return out;
 }
 
-EngineRouteId AnalysisEngine::commit_probe(const net::ServerPath& route,
-                                           const RouteProbe& probe) {
+EngineRouteId AnalysisEngine::commit_probe(
+    std::span<const net::ServerId> route, const RouteProbe& probe) {
   if (!probe.safe())
     throw std::invalid_argument("commit_probe: probe is not safe");
   if (!solution_fresh_ || poisoned_ || !pending_list_.empty())
@@ -566,10 +567,12 @@ EngineRouteId AnalysisEngine::commit_probe(const net::ServerPath& route,
   if (!free_ids_.empty()) {
     id = free_ids_.back();
     free_ids_.pop_back();
-    routes_[id] = RouteEntry{route, probe.route_delay, true};
+    routes_[id] = RouteEntry{{route.begin(), route.end()}, probe.route_delay,
+                             true};
   } else {
     id = routes_.size();
-    routes_.push_back(RouteEntry{route, probe.route_delay, true});
+    routes_.push_back(
+        RouteEntry{{route.begin(), route.end()}, probe.route_delay, true});
   }
   for (const net::ServerId s : route) {
     routes_by_server_[s].push_back(id);

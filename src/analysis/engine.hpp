@@ -42,6 +42,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "analysis/fixed_point.hpp"
@@ -152,7 +153,7 @@ class AnalysisEngine {
   /// Trial-evaluate committed + `route` without mutating the engine.
   /// Requires a clean, safely solved committed state. Thread-safe against
   /// concurrent probes.
-  RouteProbe probe_route(const net::ServerPath& route) const;
+  RouteProbe probe_route(std::span<const net::ServerId> route) const;
 
   /// Probe several candidates, on `pool` when given (nullptr or a
   /// single-thread pool scores sequentially). Results are positionally
@@ -164,7 +165,7 @@ class AnalysisEngine {
   /// Commit a candidate previously accepted by probe_route, applying its
   /// sparse delta instead of re-solving. The probe must be safe and the
   /// engine unchanged since the probe was taken.
-  EngineRouteId commit_probe(const net::ServerPath& route,
+  EngineRouteId commit_probe(std::span<const net::ServerId> route,
                              const RouteProbe& probe);
 
   /// Warm-started incremental max-alpha re-search over [lo, hi], seeded
@@ -203,11 +204,11 @@ class AnalysisEngine {
   /// Frontier-restricted upward iteration for Z-increasing changes: only
   /// servers whose inputs actually changed (beyond the tolerance) are
   /// re-iterated, activating downstream servers on demand. `extra`, when
-  /// given, is an uncommitted candidate route overlaid on the committed
-  /// set (the probe path). Touched committed routes and their final sums
-  /// are returned through `touched`/`touched_delay`.
+  /// non-empty, is an uncommitted candidate route overlaid on the
+  /// committed set (the probe path). Touched committed routes and their
+  /// final sums are returned through `touched`/`touched_delay`.
   FeasibilityStatus run_frontier(const std::vector<net::ServerId>& seeds,
-                                 const net::ServerPath* extra,
+                                 std::span<const net::ServerId> extra,
                                  std::vector<Seconds>& d,
                                  std::vector<EngineRouteId>& touched,
                                  std::vector<Seconds>& touched_delay,

@@ -13,6 +13,7 @@ NodeId Topology::add_node(const std::string& name) {
   name_index_[name] = id;
   out_links_.emplace_back();
   in_links_.emplace_back();
+  neighbors_.emplace_back();
   return id;
 }
 
@@ -28,6 +29,8 @@ LinkId Topology::add_simplex_link(NodeId a, NodeId b, BitsPerSecond capacity) {
   links_.push_back(DirectedLink{a, b, capacity});
   out_links_[a].push_back(id);
   in_links_[b].push_back(id);
+  auto& adjacent = neighbors_[a];
+  adjacent.insert(std::upper_bound(adjacent.begin(), adjacent.end(), b), b);
   link_index_[key(a, b)] = id;
   return id;
 }
@@ -49,14 +52,6 @@ std::optional<LinkId> Topology::find_link(NodeId a, NodeId b) const {
   const auto it = link_index_.find(key(a, b));
   if (it == link_index_.end()) return std::nullopt;
   return it->second;
-}
-
-std::vector<NodeId> Topology::neighbors(NodeId node) const {
-  std::vector<NodeId> out;
-  out.reserve(out_links_.at(node).size());
-  for (LinkId id : out_links_.at(node)) out.push_back(links_[id].to);
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 std::size_t Topology::max_in_degree() const {

@@ -73,7 +73,10 @@ class Topology {
   std::size_t in_degree(NodeId node) const { return in_links_.at(node).size(); }
 
   /// Neighbors reachable over one outgoing link, ascending NodeId order.
-  std::vector<NodeId> neighbors(NodeId node) const;
+  /// Kept sorted as links are added, so the BFS kernels read it in place.
+  const std::vector<NodeId>& neighbors(NodeId node) const {
+    return neighbors_.at(node);
+  }
 
   /// Maximum in-degree over all routers (the paper's N when links are
   /// duplex and degree-regularity is assumed).
@@ -90,6 +93,7 @@ class Topology {
   std::vector<DirectedLink> links_;
   std::vector<std::vector<LinkId>> out_links_;
   std::vector<std::vector<LinkId>> in_links_;
+  std::vector<std::vector<NodeId>> neighbors_;  // sorted out-neighbors
   std::unordered_map<std::uint64_t, LinkId> link_index_;  // (from<<32)|to
 
   static std::uint64_t key(NodeId a, NodeId b) {

@@ -1,6 +1,6 @@
 #include "net/topology_factory.hpp"
 
-#include <set>
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -138,13 +138,9 @@ Topology random_connected(std::size_t n, double avg_degree,
   for (std::size_t i = 0; i < n; ++i) topo.add_node("r" + std::to_string(i));
 
   util::Xoshiro256 rng(seed);
-  std::set<std::pair<NodeId, NodeId>> used;
   auto add = [&](NodeId a, NodeId b) {
-    if (a > b) std::swap(a, b);
-    if (a == b || used.count({a, b})) return false;
-    used.insert({a, b});
-    topo.add_duplex_link(a, b, capacity);
-    return true;
+    if (a == b || topo.find_link(a, b)) return;
+    topo.add_duplex_link(std::min(a, b), std::max(a, b), capacity);
   };
 
   // Random spanning tree: attach each node to a random earlier node.
@@ -160,7 +156,7 @@ Topology random_connected(std::size_t n, double avg_degree,
   const auto target_links =
       static_cast<std::size_t>(avg_degree * static_cast<double>(n) / 2.0);
   std::size_t guard = 0;
-  while (used.size() < target_links && guard < 100 * target_links) {
+  while (topo.link_count() / 2 < target_links && guard < 100 * target_links) {
     ++guard;
     const auto a = static_cast<NodeId>(rng.uniform_index(n));
     const auto b = static_cast<NodeId>(rng.uniform_index(n));

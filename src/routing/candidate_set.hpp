@@ -1,0 +1,60 @@
+#pragma once
+
+/// \file candidate_set.hpp
+/// \brief Candidate routes of a demand list, mapped to link servers once.
+///
+/// The Section 5.2 heuristic scores each demand's k shortest paths. They
+/// depend only on the topology, so the Section 5.3 search over alpha
+/// builds them once — Yen's algorithm plus the link-server mapping — and
+/// every probe reads them in place from two flat arenas.
+
+#include <cstddef>
+#include <span>
+#include <vector>
+
+#include "routing/route_selection.hpp"
+
+namespace ubac::routing::detail {
+
+class CandidateSet {
+ public:
+  /// Candidates of every demand: the rows of `cache` (aligned with
+  /// `demands`) when given, else the `k` shortest paths of each demand.
+  CandidateSet(const net::ServerGraph& graph,
+               const std::vector<traffic::Demand>& demands, std::size_t k,
+               const std::vector<std::vector<net::NodePath>>* cache);
+
+  /// Number of candidates of demand `d`.
+  std::size_t count(std::size_t d) const { return first_[d + 1] - first_[d]; }
+
+  /// Candidate `c` of demand `d`, as routers and as link servers.
+  std::span<const net::NodeId> nodes(std::size_t d, std::size_t c) const {
+    const std::size_t j = first_[d] + c;
+    return {nodes_.data() + node_begin_[j],
+            node_begin_[j + 1] - node_begin_[j]};
+  }
+  std::span<const net::ServerId> servers(std::size_t d, std::size_t c) const {
+    const std::size_t j = first_[d] + c;
+    return {servers_.data() + server_begin_[j],
+            server_begin_[j + 1] - server_begin_[j]};
+  }
+
+ private:
+  // Offsets: first candidate of each demand, and where each candidate
+  // starts in the two arenas; each vector ends with its end offset.
+  std::vector<std::size_t> first_{0};
+  std::vector<std::size_t> node_begin_{0};
+  std::vector<std::size_t> server_begin_{0};
+  std::vector<net::NodeId> nodes_;
+  std::vector<net::ServerId> servers_;
+};
+
+/// The Section 5.2 heuristic over a prebuilt candidate set aligned with
+/// `demands` (options.candidates and candidates_per_pair are not read).
+RouteSelectionResult select_routes_heuristic(
+    const net::ServerGraph& graph, double alpha,
+    const traffic::LeakyBucket& bucket, Seconds deadline,
+    const std::vector<traffic::Demand>& demands,
+    const HeuristicOptions& options, const CandidateSet& candidates);
+
+}  // namespace ubac::routing::detail

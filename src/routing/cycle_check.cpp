@@ -1,43 +1,60 @@
 #include "routing/cycle_check.hpp"
 
+#include <numeric>
+
 namespace ubac::routing {
 
 RouteDependencyGraph::RouteDependencyGraph(std::size_t server_count)
     : server_count_(server_count),
       adj_(server_count),
-      in_degree_(server_count, 0) {}
+      in_degree_(server_count, 0),
+      position_(server_count) {
+  // With no edges, any order is topological.
+  std::iota(position_.begin(), position_.end(), 0u);
+}
 
 void RouteDependencyGraph::add_route(const net::ServerPath& route) {
-  bool grew = false;
+  bool ordered = true;
   for (std::size_t i = 0; i + 1 < route.size(); ++i) {
-    const std::pair<net::ServerId, net::ServerId> e{route[i], route[i + 1]};
+    const Edge e{route[i], route[i + 1]};
     if (edges_.insert(e).second) {
       adj_[e.first].push_back(e.second);
       ++in_degree_[e.second];
-      grew = true;
+      ordered = ordered && forward(e);
     }
   }
-  // New edges can only create cycles, never break one; an unchanged or
-  // already-cyclic graph keeps its verdict without re-checking.
-  if (grew && acyclic_) acyclic_ = acyclic_with({});
+  // New edges can only create cycles, never break one; an already-cyclic
+  // graph keeps its verdict, and new edges that all run forward keep the
+  // recorded order topological, so only a backward edge needs a pass.
+  if (!acyclic_ || ordered) return;
+  acyclic_ = acyclic_with({});
+  if (acyclic_)
+    for (std::size_t rank = 0; rank < scratch_ready_.size(); ++rank)
+      position_[scratch_ready_[rank]] = static_cast<std::uint32_t>(rank);
 }
 
-bool RouteDependencyGraph::stays_acyclic(const net::ServerPath& route) const {
+bool RouteDependencyGraph::stays_acyclic(
+    std::span<const net::ServerId> route) const {
   if (!acyclic_) return false;
-  std::vector<std::pair<net::ServerId, net::ServerId>> extra;
+  scratch_extra_.clear();
+  bool ordered = true;
   for (std::size_t i = 0; i + 1 < route.size(); ++i) {
-    const std::pair<net::ServerId, net::ServerId> e{route[i], route[i + 1]};
-    if (!edges_.count(e)) extra.push_back(e);
+    const Edge e{route[i], route[i + 1]};
+    if (edges_.count(e)) continue;
+    scratch_extra_.push_back(e);
+    ordered = ordered && forward(e);
   }
-  if (extra.empty()) return true;  // graph unchanged
+  // The recorded order is topological for the committed graph; when every
+  // new edge runs forward in it (or there is none), it is a topological
+  // order of the union too, so the union is acyclic.
+  if (ordered) return true;
   // A route may repeat an edge only through a repeated node pair, which
   // would be a self-cycle anyway; duplicates in `extra` just double an
   // in-degree and are undone below, so no dedup is needed.
-  return acyclic_with(extra);
+  return acyclic_with(scratch_extra_);
 }
 
-bool RouteDependencyGraph::acyclic_with(
-    const std::vector<std::pair<net::ServerId, net::ServerId>>& extra) const {
+bool RouteDependencyGraph::acyclic_with(const std::vector<Edge>& extra) const {
   scratch_degree_.assign(in_degree_.begin(), in_degree_.end());
   for (const auto& e : extra) ++scratch_degree_[e.second];
 

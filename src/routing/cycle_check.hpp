@@ -10,7 +10,9 @@
 /// route visits server a immediately before server b.
 
 #include <cstddef>
+#include <cstdint>
 #include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -19,9 +21,11 @@
 namespace ubac::routing {
 
 /// Incremental dependency graph over `server_count` link servers.
-/// Adjacency and in-degrees are maintained across add_route calls, so the
-/// (hot) stays_acyclic query costs one Kahn pass over preallocated scratch
-/// — and nothing at all when the candidate adds no new edge.
+/// Adjacency and in-degrees are maintained across add_route calls, along
+/// with a topological order of the committed graph (the one its last Kahn
+/// pass produced). A query whose new edges all run forward in that order
+/// is accepted without a pass; otherwise it costs one Kahn pass over
+/// preallocated scratch.
 class RouteDependencyGraph {
  public:
   explicit RouteDependencyGraph(std::size_t server_count);
@@ -31,7 +35,7 @@ class RouteDependencyGraph {
 
   /// Would the graph stay acyclic after adding this route's edges?
   /// (Does not modify the graph.)
-  bool stays_acyclic(const net::ServerPath& route) const;
+  bool stays_acyclic(std::span<const net::ServerId> route) const;
 
   /// Is the current graph acyclic?
   bool is_acyclic() const { return acyclic_; }
@@ -39,20 +43,31 @@ class RouteDependencyGraph {
   std::size_t edge_count() const { return edges_.size(); }
 
  private:
+  using Edge = std::pair<net::ServerId, net::ServerId>;
+
   /// Kahn over the committed graph plus `extra` edges (already absent from
-  /// the committed edge set, deduplicated).
-  bool acyclic_with(
-      const std::vector<std::pair<net::ServerId, net::ServerId>>& extra) const;
+  /// the committed edge set). On success scratch_ready_ holds every server
+  /// in a topological order of the union.
+  bool acyclic_with(const std::vector<Edge>& extra) const;
+
+  /// Does `e` run forward in the recorded topological order?
+  bool forward(const Edge& e) const {
+    return position_[e.first] < position_[e.second];
+  }
 
   std::size_t server_count_;
-  std::set<std::pair<net::ServerId, net::ServerId>> edges_;
+  std::set<Edge> edges_;
   std::vector<std::vector<net::ServerId>> adj_;
   std::vector<int> in_degree_;
+  /// Rank of each server in a topological order of the committed graph
+  /// (meaningful while acyclic_).
+  std::vector<std::uint32_t> position_;
   bool acyclic_ = true;
 
   // Query scratch, reused across calls (single-threaded callers only).
   mutable std::vector<int> scratch_degree_;
   mutable std::vector<net::ServerId> scratch_ready_;
+  mutable std::vector<Edge> scratch_extra_;
 };
 
 }  // namespace ubac::routing

@@ -2,8 +2,8 @@
 
 #include <stdexcept>
 
-#include "net/ksp.hpp"
 #include "net/shortest_path.hpp"
+#include "routing/candidate_set.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/span.hpp"
 #include "util/log.hpp"
@@ -146,22 +146,16 @@ MaxUtilResult maximize_utilization_heuristic(
     Seconds deadline, const std::vector<traffic::Demand>& demands,
     const HeuristicOptions& heuristic, const MaxUtilOptions& options) {
   const int l = net::diameter(graph.topology());
-  // Candidate routes depend only on the topology, not on alpha: compute
-  // them once and share them across every probe of the binary search.
-  HeuristicOptions shared = heuristic;
-  std::vector<std::vector<net::NodePath>> candidates;
-  if (shared.candidates == nullptr) {
-    candidates.reserve(demands.size());
-    for (const auto& d : demands)
-      candidates.push_back(net::k_shortest_paths(
-          graph.topology(), d.src, d.dst, shared.candidates_per_pair));
-    shared.candidates = &candidates;
-  }
+  // Candidate routes depend only on the topology, not on alpha: build them
+  // and their link-server mapping once and share them across every probe
+  // of the binary search.
+  const detail::CandidateSet candidates(
+      graph, demands, heuristic.candidates_per_pair, heuristic.candidates);
   return maximize_utilization(
       uniform_fan_in(graph), l, bucket, deadline,
       [&](double alpha) {
-        return select_routes_heuristic(graph, alpha, bucket, deadline,
-                                       demands, shared);
+        return detail::select_routes_heuristic(graph, alpha, bucket, deadline,
+                                               demands, heuristic, candidates);
       },
       options,
       make_reverifier(graph, bucket, deadline, heuristic.fixed_point));

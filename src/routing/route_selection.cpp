@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 
 #include "analysis/engine.hpp"
-#include "net/ksp.hpp"
 #include "net/shortest_path.hpp"
+#include "routing/candidate_set.hpp"
 #include "routing/cycle_check.hpp"
 #include "telemetry/span.hpp"
 #include "util/log.hpp"
@@ -28,22 +29,24 @@ void check_demands(const net::Topology& topo,
 }
 
 /// Shared core of the Section 5.2 heuristic: route `demands` one by one,
-/// never disturbing `pinned` routes. Returns routes aligned with
-/// `demands`; the final solution covers pinned + demands in that order.
+/// never disturbing `pinned` routes. Candidates come from `shared` when
+/// given (a search over alpha builds them once), else are built here.
+/// Returns routes aligned with `demands`; the final solution covers
+/// pinned + demands in that order.
 RouteSelectionResult heuristic_core(
     const net::ServerGraph& graph, double alpha,
     const traffic::LeakyBucket& bucket, Seconds deadline,
     const std::vector<net::ServerPath>& pinned,
     const std::vector<traffic::Demand>& demands,
-    const HeuristicOptions& options) {
+    const HeuristicOptions& options, const detail::CandidateSet* shared) {
   const net::Topology& topo = graph.topology();
   check_demands(topo, demands);
-  if (options.candidates_per_pair == 0)
-    throw std::invalid_argument("heuristic: candidates_per_pair must be >= 1");
-  if (options.candidates != nullptr &&
-      options.candidates->size() != demands.size())
-    throw std::invalid_argument(
-        "heuristic: candidate cache misaligned with demands");
+  std::optional<detail::CandidateSet> own;
+  const detail::CandidateSet& candidates =
+      shared != nullptr
+          ? *shared
+          : own.emplace(graph, demands, options.candidates_per_pair,
+                        options.candidates);
 
   RouteSelectionResult result;
   result.routes.assign(demands.size(), {});
@@ -89,38 +92,34 @@ RouteSelectionResult heuristic_core(
   RouteDependencyGraph dependency(graph.size());
   for (const auto& route : pinned) dependency.add_route(route);
 
+  const auto forbidden = [&](net::ServerId s) {
+    return std::find(options.forbidden_servers.begin(),
+                     options.forbidden_servers.end(),
+                     s) != options.forbidden_servers.end();
+  };
+  std::vector<std::size_t> preferred, fallback;
   for (std::size_t rank = 0; rank < order.size(); ++rank) {
     const std::size_t demand_index = order[rank];
     const traffic::Demand& demand = demands[demand_index];
     UBAC_SPAN_ARG("route.select_pair", "routing", "demand", demand_index);
+    const auto servers_of = [&](std::size_t c) {
+      return candidates.servers(demand_index, c);
+    };
 
-    std::vector<net::NodePath> candidates =
-        options.candidates != nullptr
-            ? (*options.candidates)[demand_index]
-            : net::k_shortest_paths(topo, demand.src, demand.dst,
-                                    options.candidates_per_pair);
-    if (!options.forbidden_servers.empty()) {
-      std::erase_if(candidates, [&](const net::NodePath& path) {
-        const net::ServerPath servers = graph.map_path(path);
-        for (const net::ServerId bad : options.forbidden_servers)
-          if (std::find(servers.begin(), servers.end(), bad) != servers.end())
-            return true;
-        return false;
-      });
+    // Candidates through a forbidden server are skipped; rule (2): try
+    // acyclicity-preserving candidates first.
+    preferred.clear();
+    fallback.clear();
+    for (std::size_t c = 0; c < candidates.count(demand_index); ++c) {
+      const auto servers = servers_of(c);
+      if (std::any_of(servers.begin(), servers.end(), forbidden)) continue;
+      const bool acyclic =
+          !options.prefer_acyclic || dependency.stays_acyclic(servers);
+      (acyclic ? preferred : fallback).push_back(c);
     }
-    if (candidates.empty()) {
+    if (preferred.empty() && fallback.empty()) {
       result.failed_demand = demand_index;
       return result;
-    }
-
-    // Rule (2): try acyclicity-preserving candidates first.
-    std::vector<const net::NodePath*> preferred, fallback;
-    std::vector<net::ServerPath> candidate_servers(candidates.size());
-    for (std::size_t c = 0; c < candidates.size(); ++c) {
-      candidate_servers[c] = graph.map_path(candidates[c]);
-      const bool acyclic =
-          !options.prefer_acyclic || dependency.stays_acyclic(candidate_servers[c]);
-      (acyclic ? preferred : fallback).push_back(&candidates[c]);
     }
 
     struct Best {
@@ -134,7 +133,7 @@ RouteSelectionResult heuristic_core(
     // probes fork the engine's committed view, so they can run on the
     // pool; the reduction is by (delay, group order), which makes the
     // winner independent of thread count.
-    auto try_group = [&](const std::vector<const net::NodePath*>& group) {
+    auto try_group = [&](const std::vector<std::size_t>& group) {
       Best best;
       const bool parallel = options.pool != nullptr &&
                             options.pool->thread_count() > 1 &&
@@ -149,16 +148,12 @@ RouteSelectionResult heuristic_core(
         std::vector<Seconds> bounds(group.size(), 0.0);
         std::size_t first = 0;
         for (std::size_t g = 0; g < group.size(); ++g) {
-          const auto c =
-              static_cast<std::size_t>(group[g] - candidates.data());
-          for (const net::ServerId s : candidate_servers[c])
+          for (const net::ServerId s : servers_of(group[g]))
             bounds[g] += committed[s];
           if (bounds[g] < bounds[first]) first = g;
         }
-        const auto first_c =
-            static_cast<std::size_t>(group[first] - candidates.data());
         analysis::RouteProbe first_probe =
-            engine.probe_route(candidate_servers[first_c]);
+            engine.probe_route(servers_of(group[first]));
         std::vector<std::size_t> rest;
         for (std::size_t g = 0; g < group.size(); ++g) {
           if (g == first) continue;
@@ -174,22 +169,20 @@ RouteSelectionResult heuristic_core(
         }
         std::vector<net::ServerPath> paths;
         paths.reserve(rest.size());
-        for (const std::size_t g : rest)
-          paths.push_back(candidate_servers[static_cast<std::size_t>(
-              group[g] - candidates.data())]);
+        for (const std::size_t g : rest) {
+          const auto servers = servers_of(group[g]);
+          paths.emplace_back(servers.begin(), servers.end());
+        }
         auto probes = engine.probe_routes(paths, options.pool);
         auto consider = [&](std::size_t g, analysis::RouteProbe& probe) {
           if (!probe.safe()) return;
           const Seconds own = probe.route_delay;
           const bool wins =
               !best.found || own < best.own_delay ||
-              (own == best.own_delay &&
-               static_cast<std::size_t>(group[g] - candidates.data()) <
-                   best.candidate);
+              (own == best.own_delay && group[g] < best.candidate);
           if (wins) {
             best.found = true;
-            best.candidate = static_cast<std::size_t>(group[g] -
-                                                      candidates.data());
+            best.candidate = group[g];
             best.own_delay = own;
             best.probe = std::move(probe);
           }
@@ -203,14 +196,11 @@ RouteSelectionResult heuristic_core(
         // bound reaches the best's *converged* delay it cannot win the
         // strict comparison. Same winner as probing everything.
         const std::vector<Seconds>& committed = engine.server_delays();
-        for (const net::NodePath* path : group) {
-          const auto c = static_cast<std::size_t>(path - candidates.data());
+        for (const std::size_t c : group) {
           Seconds bound = 0.0;
-          for (const net::ServerId s : candidate_servers[c])
-            bound += committed[s];
+          for (const net::ServerId s : servers_of(c)) bound += committed[s];
           if (best.found && bound >= best.own_delay) continue;
-          analysis::RouteProbe probe =
-              engine.probe_route(candidate_servers[c]);
+          analysis::RouteProbe probe = engine.probe_route(servers_of(c));
           if (!probe.safe()) continue;
           if (!best.found || probe.route_delay < best.own_delay) {
             best.found = true;
@@ -222,10 +212,8 @@ RouteSelectionResult heuristic_core(
       } else {
         // Rule (3) off => the first feasible candidate wins; stop probing
         // at the first success.
-        for (const net::NodePath* path : group) {
-          const auto c = static_cast<std::size_t>(path - candidates.data());
-          analysis::RouteProbe probe =
-              engine.probe_route(candidate_servers[c]);
+        for (const std::size_t c : group) {
+          analysis::RouteProbe probe = engine.probe_route(servers_of(c));
           if (!probe.safe()) continue;
           best.found = true;
           best.candidate = c;
@@ -248,10 +236,12 @@ RouteSelectionResult heuristic_core(
       return result;
     }
 
-    result.routes[demand_index] = candidates[best.candidate];
-    result.server_routes[demand_index] = candidate_servers[best.candidate];
-    dependency.add_route(candidate_servers[best.candidate]);
-    engine.commit_probe(candidate_servers[best.candidate], best.probe);
+    const auto nodes = candidates.nodes(demand_index, best.candidate);
+    const auto servers = servers_of(best.candidate);
+    result.routes[demand_index].assign(nodes.begin(), nodes.end());
+    result.server_routes[demand_index].assign(servers.begin(), servers.end());
+    dependency.add_route(result.server_routes[demand_index]);
+    engine.commit_probe(servers, best.probe);
   }
 
   // Final cold verification of the committed set (pinned first, then new
@@ -305,7 +295,8 @@ RouteSelectionResult select_routes_heuristic(
     const traffic::LeakyBucket& bucket, Seconds deadline,
     const std::vector<traffic::Demand>& demands,
     const HeuristicOptions& options) {
-  return heuristic_core(graph, alpha, bucket, deadline, {}, demands, options);
+  return heuristic_core(graph, alpha, bucket, deadline, {}, demands, options,
+                        nullptr);
 }
 
 RouteSelectionResult select_routes_heuristic_restarts(
@@ -321,7 +312,7 @@ RouteSelectionResult select_routes_heuristic_restarts(
     // Restart 0 keeps the caller's (usually deterministic) order.
     if (r > 0) attempt.order_jitter_seed = options.order_jitter_seed + r;
     last = heuristic_core(graph, alpha, bucket, deadline, {}, demands,
-                          attempt);
+                          attempt, nullptr);
     if (last.success) return last;
   }
   return last;
@@ -334,7 +325,16 @@ RouteSelectionResult select_routes_heuristic_incremental(
     const std::vector<traffic::Demand>& new_demands,
     const HeuristicOptions& options) {
   return heuristic_core(graph, alpha, bucket, deadline, pinned, new_demands,
-                        options);
+                        options, nullptr);
+}
+
+RouteSelectionResult detail::select_routes_heuristic(
+    const net::ServerGraph& graph, double alpha,
+    const traffic::LeakyBucket& bucket, Seconds deadline,
+    const std::vector<traffic::Demand>& demands,
+    const HeuristicOptions& options, const CandidateSet& candidates) {
+  return heuristic_core(graph, alpha, bucket, deadline, {}, demands, options,
+                        &candidates);
 }
 
 }  // namespace ubac::routing

@@ -53,10 +53,10 @@ struct HeuristicOptions {
   /// single-thread pool) scores sequentially.
   util::ThreadPool* pool = nullptr;
   /// Optional precomputed k-shortest-path candidate lists, aligned with
-  /// the demand vector. Candidates are alpha-independent, so a binary
-  /// search over alpha computes them once and shares them across every
-  /// probe instead of re-running Yen's algorithm per probe. Entries are
-  /// copied before the forbidden_servers filter; nullptr recomputes.
+  /// the demand vector; nullptr computes them. Candidates are
+  /// alpha-independent, so maximize_utilization_heuristic builds them and
+  /// their link-server mapping once per search and shares that across
+  /// every probe. Candidates through forbidden_servers are skipped.
   const std::vector<std::vector<net::NodePath>>* candidates = nullptr;
 };
 

@@ -1,9 +1,35 @@
 #include "util/cli.hpp"
 
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
 #include <stdexcept>
+#include <type_traits>
 
 namespace ubac::util {
+
+namespace {
+
+/// All of `text` as a finite T; throws std::invalid_argument naming --key
+/// on an empty, malformed, trailing-garbage or out-of-range value.
+template <class T>
+T parse_number(const std::string& key, const std::string& text,
+               const char* expected) {
+  T value{};
+  const char* last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, value);
+  bool out_of_range = ec == std::errc::result_out_of_range;
+  if constexpr (std::is_floating_point_v<T>)
+    out_of_range = out_of_range || (ec == std::errc() && !std::isfinite(value));
+  if (out_of_range)
+    throw std::invalid_argument("--" + key + ": value '" + text +
+                                "' is out of range");
+  if (ec != std::errc() || end != last)
+    throw std::invalid_argument("--" + key + ": expected " + expected +
+                                ", got '" + text + "'");
+  return value;
+}
+
+}  // namespace
 
 ArgParser::ArgParser(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
@@ -54,13 +80,13 @@ std::string ArgParser::get(const std::string& key,
 double ArgParser::get_double(const std::string& key, double def) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return def;
-  return std::strtod(it->second.c_str(), nullptr);
+  return parse_number<double>(key, it->second, "a number");
 }
 
 long ArgParser::get_long(const std::string& key, long def) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return def;
-  return std::strtol(it->second.c_str(), nullptr, 10);
+  return parse_number<long>(key, it->second, "an integer");
 }
 
 bool ArgParser::get_bool(const std::string& key, bool def) const {

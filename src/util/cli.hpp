@@ -28,6 +28,9 @@ class ArgParser {
 
   bool has(const std::string& key) const;
   std::string get(const std::string& key, const std::string& def) const;
+  /// Numeric values must be the whole token: an empty, malformed,
+  /// trailing-garbage (`--threads=4x`) or out-of-range value throws
+  /// std::invalid_argument naming the option.
   double get_double(const std::string& key, double def) const;
   long get_long(const std::string& key, long def) const;
   bool get_bool(const std::string& key, bool def) const;

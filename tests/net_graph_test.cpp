@@ -43,6 +43,20 @@ TEST(Topology, DegreesAndNeighbors) {
   EXPECT_EQ(t.neighbors(0), (std::vector<NodeId>{1, 2}));
 }
 
+TEST(Topology, NeighborsStaySortedWhenLinksArriveInDescendingOrder) {
+  Topology t("fan");
+  for (const char* name : {"hub", "a", "b", "c", "d", "e"}) t.add_node(name);
+  for (NodeId leaf = 5; leaf >= 1; --leaf) t.add_simplex_link(0, leaf, 1e6);
+  t.add_simplex_link(3, 5, 1e6);
+  t.add_simplex_link(3, 0, 1e6);
+  t.add_simplex_link(3, 4, 1e6);
+  EXPECT_EQ(t.neighbors(0), (std::vector<NodeId>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(t.neighbors(3), (std::vector<NodeId>{0, 4, 5}));
+  EXPECT_TRUE(t.neighbors(1).empty());
+  // Link ids keep insertion order; only the neighbor view is sorted.
+  EXPECT_EQ(t.link(t.out_links(0).front()).to, 5u);
+}
+
 TEST(Topology, RejectsInvalidConstruction) {
   Topology t;
   const NodeId a = t.add_node("a");

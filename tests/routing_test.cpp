@@ -2,13 +2,18 @@
 // baseline, the Section 5.2 heuristic, and the Section 5.3 maximizer.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "analysis/bounds.hpp"
+#include "net/ksp.hpp"
 #include "net/shortest_path.hpp"
 #include "net/topology_factory.hpp"
 #include "routing/cycle_check.hpp"
 #include "routing/max_util_search.hpp"
 #include "routing/route_selection.hpp"
 #include "traffic/workload.hpp"
+#include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 #include "util/units.hpp"
 
 namespace ubac::routing {
@@ -26,10 +31,11 @@ TEST(RouteDependencyGraph, DetectsCycles) {
   EXPECT_TRUE(g.is_acyclic());
   g.add_route({0, 1, 2});
   EXPECT_TRUE(g.is_acyclic());
-  EXPECT_TRUE(g.stays_acyclic({0, 2}));      // no new ordering conflict
-  EXPECT_TRUE(g.stays_acyclic({1, 2, 3}));   // extends forward
-  EXPECT_FALSE(g.stays_acyclic({2, 0}));     // closes 0->1->2->0
-  EXPECT_FALSE(g.stays_acyclic({2, 3, 0}));  // longer cycle
+  using net::ServerPath;
+  EXPECT_TRUE(g.stays_acyclic(ServerPath{0, 2}));     // no new order conflict
+  EXPECT_TRUE(g.stays_acyclic(ServerPath{1, 2, 3}));  // extends forward
+  EXPECT_FALSE(g.stays_acyclic(ServerPath{2, 0}));    // closes 0->1->2->0
+  EXPECT_FALSE(g.stays_acyclic(ServerPath{2, 3, 0})); // longer cycle
   g.add_route({2, 3});
   EXPECT_TRUE(g.is_acyclic());
   EXPECT_EQ(g.edge_count(), 3u);
@@ -42,6 +48,66 @@ TEST(RouteDependencyGraph, DuplicateEdgesAreIdempotent) {
   g.add_route({0, 1});
   g.add_route({0, 1});
   EXPECT_EQ(g.edge_count(), 1u);
+}
+
+using Edge = std::pair<net::ServerId, net::ServerId>;
+
+/// Plain Kahn pass over an explicit edge set.
+bool kahn_acyclic(std::size_t servers, const std::set<Edge>& edges) {
+  std::vector<int> in_degree(servers, 0);
+  for (const auto& e : edges) ++in_degree[e.second];
+  std::vector<net::ServerId> ready;
+  for (net::ServerId v = 0; v < servers; ++v)
+    if (in_degree[v] == 0) ready.push_back(v);
+  std::size_t done = 0;
+  while (!ready.empty()) {
+    const net::ServerId v = ready.back();
+    ready.pop_back();
+    ++done;
+    for (const auto& e : edges)
+      if (e.first == v && --in_degree[e.second] == 0) ready.push_back(e.second);
+  }
+  return done == servers;
+}
+
+TEST(RouteDependencyGraph, VerdictMatchesPlainKahnOnRandomRoutes) {
+  util::Xoshiro256 rng(20240607);
+  std::size_t accepted = 0, rejected = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t servers = 3 + rng.uniform_index(14);
+    RouteDependencyGraph g(servers);
+    std::set<Edge> committed;
+    for (int step = 0; step < 40; ++step) {
+      // Mostly simple routes; now and then a repeated server (a cycle).
+      net::ServerPath route;
+      const std::size_t length = 2 + rng.uniform_index(5);
+      while (route.size() < length) {
+        const auto s = static_cast<net::ServerId>(rng.uniform_index(servers));
+        if (rng.uniform_index(20) != 0 &&
+            std::find(route.begin(), route.end(), s) != route.end())
+          continue;
+        route.push_back(s);
+      }
+      std::set<Edge> with = committed;
+      for (std::size_t i = 0; i + 1 < route.size(); ++i)
+        with.insert({route[i], route[i + 1]});
+
+      const bool expected = kahn_acyclic(servers, with);
+      ASSERT_EQ(g.stays_acyclic(route), expected)
+          << "trial " << trial << " step " << step;
+      (expected ? accepted : rejected) += 1;
+      // Commit what stays acyclic, and now and then a cycle-closing route.
+      if (expected || rng.uniform_index(25) == 0) {
+        g.add_route(route);
+        committed = std::move(with);
+        ASSERT_EQ(g.is_acyclic(), kahn_acyclic(servers, committed));
+        ASSERT_EQ(g.edge_count(), committed.size());
+      }
+    }
+  }
+  // Both verdicts are exercised.
+  EXPECT_GT(accepted, 1000u);
+  EXPECT_GT(rejected, 1000u);
 }
 
 std::vector<traffic::Demand> far_pairs(const net::Topology& topo,
@@ -225,6 +291,86 @@ TEST(MaxUtilSearch, HonorsExplicitInterval) {
                                     [](double) { return RouteSelectionResult{}; },
                                     bad),
                std::invalid_argument);
+}
+
+void expect_same_selection(const RouteSelectionResult& a,
+                           const RouteSelectionResult& b) {
+  EXPECT_EQ(a.success, b.success);
+  EXPECT_EQ(a.failed_demand, b.failed_demand);
+  EXPECT_EQ(a.routes, b.routes);
+  EXPECT_EQ(a.server_routes, b.server_routes);
+  EXPECT_EQ(a.solution.status, b.solution.status);
+  EXPECT_EQ(a.solution.server_delay, b.solution.server_delay);
+  EXPECT_EQ(a.solution.route_delay, b.solution.route_delay);
+}
+
+/// The search and the selector give identical results whether the
+/// candidates come from a caller-supplied cache or are computed inside.
+/// Returns the search result without the cache.
+MaxUtilResult expect_cache_is_transparent(
+    const net::ServerGraph& graph, const std::vector<traffic::Demand>& demands,
+    const HeuristicOptions& options) {
+  std::vector<std::vector<net::NodePath>> cache;
+  for (const auto& d : demands)
+    cache.push_back(net::k_shortest_paths(graph.topology(), d.src, d.dst,
+                                          options.candidates_per_pair));
+  HeuristicOptions cached = options;
+  cached.candidates = &cache;
+
+  const auto plain = maximize_utilization_heuristic(graph, kVoice, kDeadline,
+                                                    demands, options);
+  const auto with_cache = maximize_utilization_heuristic(
+      graph, kVoice, kDeadline, demands, cached);
+  EXPECT_TRUE(plain.any_feasible);
+  EXPECT_EQ(plain.max_alpha, with_cache.max_alpha);
+  EXPECT_EQ(plain.probes, with_cache.probes);
+  EXPECT_EQ(plain.reverify_hits, with_cache.reverify_hits);
+  expect_same_selection(plain.best, with_cache.best);
+
+  // At the found alpha and past it, where the selection fails.
+  for (const double alpha : {plain.max_alpha, plain.max_alpha + 0.05}) {
+    const auto a = select_routes_heuristic(graph, alpha, kVoice, kDeadline,
+                                           demands, options);
+    const auto b = select_routes_heuristic(graph, alpha, kVoice, kDeadline,
+                                           demands, cached);
+    expect_same_selection(a, b);
+  }
+  return plain;
+}
+
+TEST(SelectionEquivalence, CandidateCacheIsTransparentOnMci) {
+  const auto topo = net::mci_backbone();
+  const net::ServerGraph graph(topo, 6u);
+  expect_cache_is_transparent(graph, traffic::all_ordered_pairs(topo), {});
+}
+
+TEST(SelectionEquivalence, CandidateCacheIsTransparentOnRandomTopologies) {
+  util::ThreadPool pool(2);
+  for (const std::uint64_t seed : {1031u, 1047u}) {
+    const auto topo = net::random_connected(30, 3.5, seed);
+    const net::ServerGraph graph(topo);
+    HeuristicOptions options;
+    // The second case scores candidates on the pool (pruned-parallel path).
+    if (seed == 1047u) options.pool = &pool;
+    expect_cache_is_transparent(graph, traffic::all_ordered_pairs(topo),
+                                options);
+  }
+}
+
+TEST(SelectionEquivalence, CandidateCacheIsTransparentWithForbiddenServers) {
+  const auto topo = net::mci_backbone();
+  const net::ServerGraph graph(topo, 6u);
+  const auto demands = traffic::all_ordered_pairs(topo);
+  // Forbid both directions of the first hop of the first demand's
+  // shortest path, so some candidates are skipped.
+  const auto path = *net::shortest_path(topo, demands[0].src, demands[0].dst);
+  HeuristicOptions options;
+  options.forbidden_servers = {*topo.find_link(path[0], path[1]),
+                               *topo.find_link(path[1], path[0])};
+  const auto search = expect_cache_is_transparent(graph, demands, options);
+  for (const auto& route : search.best.server_routes)
+    for (const net::ServerId bad : options.forbidden_servers)
+      EXPECT_EQ(std::find(route.begin(), route.end(), bad), route.end());
 }
 
 }  // namespace

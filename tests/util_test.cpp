@@ -4,6 +4,8 @@
 #include <atomic>
 #include <cmath>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/cli.hpp"
@@ -303,6 +305,59 @@ TEST(Cli, RejectsUnknownOptions) {
   util::ArgParser args(2, argv);
   args.describe("typo", "correctly spelled");
   EXPECT_THROW(args.validate(), std::invalid_argument);
+}
+
+TEST(Cli, ParsesWholeNumericTokens) {
+  const char* argv[] = {"prog", "--n=-42", "--x=1.5e-3", "--y=7"};
+  util::ArgParser args(4, argv);
+  EXPECT_EQ(args.get_long("n", 0), -42);
+  EXPECT_DOUBLE_EQ(args.get_double("x", 0.0), 1.5e-3);
+  EXPECT_DOUBLE_EQ(args.get_double("y", 0.0), 7.0);
+  EXPECT_EQ(args.get_long("absent", 9), 9);
+}
+
+/// The message of the std::invalid_argument `fn` throws ("" when none).
+template <class Fn>
+std::string invalid_argument_message(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Cli, RejectsMalformedIntegers) {
+  const char* argv[] = {"prog", "--threads=abc", "--ops=12x", "--pairs=",
+                        "--seed=99999999999999999999", "--port= 80",
+                        "--flows=1.5"};
+  util::ArgParser args(7, argv);
+  for (const char* key : {"threads", "ops", "pairs", "seed", "port", "flows"}) {
+    const std::string message =
+        invalid_argument_message([&] { args.get_long(key, 0); });
+    EXPECT_NE(message.find(std::string("--") + key), std::string::npos)
+        << key << ": " << message;
+  }
+  EXPECT_NE(invalid_argument_message([&] { args.get_long("seed", 0); })
+                .find("out of range"),
+            std::string::npos);
+}
+
+TEST(Cli, RejectsMalformedDoubles) {
+  const char* argv[] = {"prog", "--deadline-ms=1x", "--alpha=", "--burst=abc",
+                        "--rate-kbps=1e999", "--sampling=nan",
+                        "--horizon-s=inf"};
+  util::ArgParser args(7, argv);
+  for (const char* key : {"deadline-ms", "alpha", "burst", "rate-kbps",
+                          "sampling", "horizon-s"}) {
+    const std::string message =
+        invalid_argument_message([&] { args.get_double(key, 0.0); });
+    EXPECT_NE(message.find(std::string("--") + key), std::string::npos)
+        << key << ": " << message;
+  }
+  EXPECT_NE(invalid_argument_message([&] { args.get_double("rate-kbps", 0.0); })
+                .find("out of range"),
+            std::string::npos);
 }
 
 TEST(ThreadPool, ParallelForCoversAllIndices) {

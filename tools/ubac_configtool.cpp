@@ -944,6 +944,10 @@ int main(int argc, char** argv) {
                   trace_out.c_str());
     }
     return rc;
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n\n%s", e.what(),
+                 args.usage("ubac_configtool").c_str());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
