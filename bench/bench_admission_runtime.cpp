@@ -17,13 +17,9 @@
 
 using namespace ubac;
 
-int main(int argc, char** argv) {
-  util::ArgParser args(argc, argv);
-  args.describe("metrics-out",
-                "instrument the controllers and export the metrics snapshot "
-                "(.prom/.json/.csv chosen by extension)")
-      .describe("trace-out", bench::kTraceOutHelp);
-  args.validate();
+namespace {
+
+int run(const util::ArgParser& args) {
   bench::ScopedBenchTracing tracing(args);
   const std::string metrics_out = args.get("metrics-out", "");
   telemetry::MetricsRegistry registry;
@@ -93,4 +89,15 @@ int main(int argc, char** argv) {
   if (!metrics_out.empty())
     bench::export_metrics(registry.snapshot(), metrics_out);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  util::ArgParser args(argc, argv);
+  args.describe("metrics-out",
+                "instrument the controllers and export the metrics snapshot "
+                "(.prom/.json/.csv chosen by extension)")
+      .describe("trace-out", bench::kTraceOutHelp);
+  return util::run_main(args, "bench_admission_runtime", [&] { return run(args); });
 }

@@ -10,8 +10,6 @@
 //
 // Options:
 //   --reps=N       timing repetitions per case (default 20; min is kept)
-//   --threads=N    candidate-scoring threads for the heuristic rows
-//                  (0 = hardware)
 //   --json[=path]  also write the BENCH rows as JSON
 //                  (default path BENCH_analysis_perf.json)
 
@@ -25,7 +23,6 @@
 #include "net/shortest_path.hpp"
 #include "routing/route_selection.hpp"
 #include "util/cli.hpp"
-#include "util/thread_pool.hpp"
 
 using namespace ubac;
 
@@ -45,20 +42,9 @@ double time_min_ms(int reps, Fn&& fn) {
   return best;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  util::ArgParser args(argc, argv);
-  args.describe("reps", "timing repetitions per case (default 20)")
-      .describe("threads", "candidate-scoring threads (default 0 = hardware)")
-      .describe("json",
-                "write BENCH rows as JSON (default BENCH_analysis_perf.json)")
-      .describe("trace-out", bench::kTraceOutHelp);
-  args.validate();
+int run(const util::ArgParser& args) {
   bench::ScopedBenchTracing tracing(args);
   const int reps = static_cast<int>(args.get_long("reps", 20));
-  util::ThreadPool pool(
-      static_cast<std::size_t>(args.get_long("threads", 0)));
 
   const net::Topology topo = net::mci_backbone();
   const net::ServerGraph graph(topo, 6u);
@@ -102,7 +88,6 @@ int main(int argc, char** argv) {
   for (const std::size_t k : {std::size_t{2}, std::size_t{8}}) {
     routing::HeuristicOptions opts;
     opts.candidates_per_pair = k;
-    opts.pool = &pool;
     bool success = false;
     const double ms = time_min_ms(reps, [&] {
       success = routing::select_routes_heuristic(graph, 0.40, scenario.bucket,
@@ -113,7 +98,6 @@ int main(int argc, char** argv) {
     bench::BenchSummary summary("analysis_perf");
     summary.set("case", "heuristic_select")
         .set("k", static_cast<std::uint64_t>(k))
-        .set("threads", static_cast<std::uint64_t>(pool.thread_count()))
         .set("success", success ? "yes" : "no")
         .set("min_ms", ms, 3);
     report(std::move(summary));
@@ -168,4 +152,15 @@ int main(int argc, char** argv) {
     bench::write_summary_json(args.get("json", "BENCH_analysis_perf.json"),
                               "analysis_perf", summaries);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  util::ArgParser args(argc, argv);
+  args.describe("reps", "timing repetitions per case (default 20)")
+      .describe("json",
+                "write BENCH rows as JSON (default BENCH_analysis_perf.json)")
+      .describe("trace-out", bench::kTraceOutHelp);
+  return util::run_main(args, "bench_analysis_perf", [&] { return run(args); });
 }

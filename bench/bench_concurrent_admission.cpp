@@ -52,24 +52,7 @@ struct Churn {
   std::size_t released = 0;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  util::ArgParser args(argc, argv);
-  args.describe("json", "write BENCH_concurrent_admission.json")
-      .describe("json-out", "override the JSON output path")
-      .describe("metrics-out",
-                "instrument the controller and export the metrics snapshot "
-                "(.prom/.json/.csv chosen by extension)")
-      .describe("telemetry",
-                "instrument the controller without exporting (overhead runs)")
-      .describe("ops-per-thread", "churn operations per thread (default "
-                                  "200000)")
-      .describe("serve-port",
-                "serve /metrics, /healthz and /series on this port while "
-                "the bench runs (0 = ephemeral)")
-      .describe("trace-out", bench::kTraceOutHelp);
-  args.validate();
+int run(const util::ArgParser& args) {
   bench::ScopedBenchTracing tracing(args);
 
   const bench::VoipScenario scenario;
@@ -497,4 +480,24 @@ int main(int argc, char** argv) {
     sampler->stop();
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  util::ArgParser args(argc, argv);
+  args.describe("json", "write BENCH_concurrent_admission.json")
+      .describe("json-out", "override the JSON output path")
+      .describe("metrics-out",
+                "instrument the controller and export the metrics snapshot "
+                "(.prom/.json/.csv chosen by extension)")
+      .describe("telemetry",
+                "instrument the controller without exporting (overhead runs)")
+      .describe("ops-per-thread", "churn operations per thread (default "
+                                  "200000)")
+      .describe("serve-port",
+                "serve /metrics, /healthz and /series on this port while "
+                "the bench runs (0 = ephemeral)")
+      .describe("trace-out", bench::kTraceOutHelp);
+  return util::run_main(args, "bench_concurrent_admission", [&] { return run(args); });
 }

@@ -7,7 +7,6 @@
 // Options:
 //   --nodes=10,20,30,40   comma-separated graph sizes (CI uses a reduced
 //                         list to keep the smoke job fast)
-//   --threads=N           candidate-scoring threads (0 = hardware)
 //   --json[=path]         also write the BENCH rows as JSON
 //                         (default path BENCH_scale.json)
 
@@ -21,7 +20,6 @@
 #include "net/shortest_path.hpp"
 #include "routing/max_util_search.hpp"
 #include "util/cli.hpp"
-#include "util/thread_pool.hpp"
 
 using namespace ubac;
 
@@ -44,15 +42,10 @@ std::vector<std::size_t> parse_sizes(const std::string& spec) {
   return sizes;
 }
 
-/// The bench proper; errors propagate to main's usage report.
 int run(const util::ArgParser& args) {
-  args.validate();
   bench::ScopedBenchTracing tracing(args);
 
   const auto sizes = parse_sizes(args.get("nodes", "10,20,30,40"));
-  const auto threads =
-      static_cast<std::size_t>(args.get_long("threads", 0));
-  util::ThreadPool pool(threads);
 
   const bench::VoipScenario scenario;
   bench::print_header(
@@ -78,7 +71,6 @@ int run(const util::ArgParser& args) {
     const auto t1 = std::chrono::steady_clock::now();
     routing::HeuristicOptions opts;
     opts.candidates_per_pair = 4;
-    opts.pool = &pool;
     const auto heuristic = routing::maximize_utilization_heuristic(
         graph, scenario.bucket, scenario.deadline, demands, opts);
     const auto t2 = std::chrono::steady_clock::now();
@@ -101,7 +93,6 @@ int run(const util::ArgParser& args) {
         .set("demands", static_cast<std::uint64_t>(demands.size()))
         .set("links", static_cast<std::uint64_t>(topo.link_count()))
         .set("diameter", static_cast<std::uint64_t>(l))
-        .set("threads", static_cast<std::uint64_t>(pool.thread_count()))
         .set("sp_alpha", sp.max_alpha, 4)
         .set("sp_ms", sp_ms, 1)
         .set("heuristic_alpha", heuristic.max_alpha, 4)
@@ -128,17 +119,7 @@ int run(const util::ArgParser& args) {
 int main(int argc, char** argv) {
   util::ArgParser args(argc, argv);
   args.describe("nodes", "comma-separated graph sizes (default 10,20,30,40)")
-      .describe("threads", "candidate-scoring threads (default 0 = hardware)")
       .describe("json", "write BENCH rows as JSON (default BENCH_scale.json)")
       .describe("trace-out", bench::kTraceOutHelp);
-  try {
-    return run(args);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "error: %s\n\n%s", e.what(),
-                 args.usage("bench_scale").c_str());
-    return 2;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
+  return util::run_main(args, "bench_scale", [&] { return run(args); });
 }

@@ -20,14 +20,9 @@
 
 using namespace ubac;
 
-int main(int argc, char** argv) {
-  util::ArgParser args(argc, argv);
-  args.describe("alpha", "configured utilization share (default 0.40)")
-      .describe("arrivals", "flow arrivals per second (default 200)")
-      .describe("holding", "mean flow holding time, s (default 60)")
-      .describe("duration", "simulated seconds of flow churn (default 1800)")
-      .describe("seed", "RNG seed (default 1)");
-  args.validate();
+namespace {
+
+int run(const util::ArgParser& args) {
   const double alpha = args.get_double("alpha", 0.40);
 
   // --- Configuration (offline, done once). ---
@@ -102,4 +97,16 @@ int main(int argc, char** argv) {
       results.class_delay[0].max() <= deadline;
   std::printf("guarantee %s\n", ok ? "HELD" : "VIOLATED");
   return ok ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  util::ArgParser args(argc, argv);
+  args.describe("alpha", "configured utilization share (default 0.40)")
+      .describe("arrivals", "flow arrivals per second (default 200)")
+      .describe("holding", "mean flow holding time, s (default 60)")
+      .describe("duration", "simulated seconds of flow churn (default 1800)")
+      .describe("seed", "RNG seed (default 1)");
+  return util::run_main(args, "admission_control_sim", [&] { return run(args); });
 }

@@ -16,11 +16,9 @@
 
 using namespace ubac;
 
-int main(int argc, char** argv) {
-  util::ArgParser args(argc, argv);
-  args.describe("voice-share", "link share for voice (default 0.15)")
-      .describe("video-share", "link share for video (default 0.20)");
-  args.validate();
+namespace {
+
+int run(const util::ArgParser& args) {
   const double voice_share = args.get_double("voice-share", 0.15);
   const double video_share = args.get_double("video-share", 0.20);
 
@@ -74,4 +72,13 @@ int main(int argc, char** argv) {
     std::printf("the share pair is not safe; lower one of the shares.\n");
   }
   return sol.safe() ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  util::ArgParser args(argc, argv);
+  args.describe("voice-share", "link share for voice (default 0.15)")
+      .describe("video-share", "link share for video (default 0.20)");
+  return util::run_main(args, "multiclass_config", [&] { return run(args); });
 }

@@ -18,10 +18,9 @@
 
 using namespace ubac;
 
-int main(int argc, char** argv) {
-  util::ArgParser args(argc, argv);
-  args.describe("alpha", "utilization share for the real-time class");
-  args.validate();
+namespace {
+
+int run(const util::ArgParser& args) {
   const double alpha = args.get_double("alpha", 0.30);
 
   // 1. Network: the MCI backbone of the paper's evaluation (19 routers,
@@ -57,4 +56,12 @@ int main(int argc, char** argv) {
                 report.worst_route, units::to_ms(report.worst_route_delay));
   }
   return report.safe ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  util::ArgParser args(argc, argv);
+  args.describe("alpha", "utilization share for the real-time class");
+  return util::run_main(args, "quickstart", [&] { return run(args); });
 }

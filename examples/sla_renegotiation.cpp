@@ -20,11 +20,9 @@
 
 using namespace ubac;
 
-int main(int argc, char** argv) {
-  util::ArgParser args(argc, argv);
-  args.describe("save", "write the final configuration to this file");
-  args.validate();
+namespace {
 
+int run(const util::ArgParser& args) {
   const auto topo = net::mci_backbone();
   const net::ServerGraph graph(topo, 6u);
   const traffic::LeakyBucket voice(640.0, units::kbps(32));
@@ -95,4 +93,12 @@ int main(int argc, char** argv) {
   std::printf("reloaded configuration verifies: %s\n",
               reverify.success ? "yes" : "NO");
   return reverify.success ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  util::ArgParser args(argc, argv);
+  args.describe("save", "write the final configuration to this file");
+  return util::run_main(args, "sla_renegotiation", [&] { return run(args); });
 }

@@ -42,18 +42,7 @@ net::Topology load(const util::ArgParser& args) {
                            "' (mci|ring|grid|tree|mesh|random)");
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  util::ArgParser args(argc, argv);
-  args.describe("builtin", "built-in topology: mci|ring|grid|tree|mesh|random")
-      .describe("file", "topology file (net/topology_io.hpp format)")
-      .describe("deadline-ms", "deadline D in ms (default 100)")
-      .describe("burst", "burst T in bits (default 640)")
-      .describe("rate-kbps", "rate rho in kb/s (default 32)")
-      .describe("print", "dump the topology in serialized form");
-  args.validate();
-
+int run(const util::ArgParser& args) {
   const net::Topology topo = load(args);
   if (args.get_bool("print", false)) std::fputs(net::to_text(topo).c_str(), stdout);
 
@@ -96,4 +85,17 @@ int main(int argc, char** argv) {
               sp.max_alpha * 100e6 / bucket.rate,
               heuristic.max_alpha * 100e6 / bucket.rate);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  util::ArgParser args(argc, argv);
+  args.describe("builtin", "built-in topology: mci|ring|grid|tree|mesh|random")
+      .describe("file", "topology file (net/topology_io.hpp format)")
+      .describe("deadline-ms", "deadline D in ms (default 100)")
+      .describe("burst", "burst T in bits (default 640)")
+      .describe("rate-kbps", "rate rho in kb/s (default 32)")
+      .describe("print", "dump the topology in serialized form");
+  return util::run_main(args, "topology_explorer", [&] { return run(args); });
 }

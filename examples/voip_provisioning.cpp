@@ -21,15 +21,9 @@
 
 using namespace ubac;
 
-int main(int argc, char** argv) {
-  util::ArgParser args(argc, argv);
-  args.describe("deadline-ms", "end-to-end deadline D in ms (default 100)")
-      .describe("burst", "leaky bucket burst T in bits (default 640)")
-      .describe("rate-kbps", "leaky bucket rate rho in kb/s (default 32)")
-      .describe("candidates", "k-shortest-path candidates per pair (default 8)")
-      .describe("resolution", "binary search resolution (default 0.005)");
-  args.validate();
+namespace {
 
+int run(const util::ArgParser& args) {
   const Seconds deadline = units::milliseconds(args.get_double("deadline-ms", 100.0));
   const traffic::LeakyBucket bucket(args.get_double("burst", 640.0),
                                     units::kbps(args.get_double("rate-kbps", 32.0)));
@@ -87,4 +81,16 @@ int main(int argc, char** argv) {
   std::printf("longest heuristic route: %zu hops (network diameter %d)\n",
               longest, net::diameter(topo));
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  util::ArgParser args(argc, argv);
+  args.describe("deadline-ms", "end-to-end deadline D in ms (default 100)")
+      .describe("burst", "leaky bucket burst T in bits (default 640)")
+      .describe("rate-kbps", "leaky bucket rate rho in kb/s (default 32)")
+      .describe("candidates", "k-shortest-path candidates per pair (default 8)")
+      .describe("resolution", "binary search resolution (default 0.005)");
+  return util::run_main(args, "voip_provisioning", [&] { return run(args); });
 }

@@ -7,7 +7,6 @@
 #include "analysis/delay_bound.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/span.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ubac::analysis {
 
@@ -19,7 +18,8 @@ namespace {
 /// closure, so the earliest-dirty position can only move forward and the
 /// scan converges. Also collects the ids of routes intersecting the
 /// closure — exactly the routes whose Y contributions or end-to-end sums
-/// can change.
+/// can change. `by_server` lists active routes only, and `route_path(rid)`
+/// gives a route's servers.
 struct Closure {
   std::vector<char> in;               ///< per-server membership
   std::vector<net::ServerId> list;    ///< members, discovery order
@@ -40,7 +40,7 @@ void build_closure(std::size_t servers, std::size_t route_capacity,
 
   auto push_routes = [&](net::ServerId s) {
     for (const EngineRouteId rid : by_server[s]) {
-      if (!queued[rid] && route_path(rid) != nullptr) {
+      if (!queued[rid]) {
         queued[rid] = 1;
         route_queue.push_back(rid);
       }
@@ -58,10 +58,8 @@ void build_closure(std::size_t servers, std::size_t route_capacity,
     const EngineRouteId rid = route_queue.back();
     route_queue.pop_back();
     queued[rid] = 0;
-    const net::ServerPath* path = route_path(rid);
-    if (!path) continue;
     bool dirty_prefix = false;
-    for (const net::ServerId u : *path) {
+    for (const net::ServerId u : route_path(rid)) {
       if (out.in[u]) {
         dirty_prefix = true;
       } else if (dirty_prefix) {
@@ -83,7 +81,8 @@ void build_closure(std::size_t servers, std::size_t route_capacity,
 /// upstream accumulation.
 template <typename Update, typename RouteDeadline>
 FeasibilityStatus iterate_restricted(
-    const Closure& cl, const std::vector<const net::ServerPath*>& paths,
+    const Closure& cl,
+    const std::vector<std::span<const net::ServerId>>& paths,
     const RouteDeadline& deadline_of, const Update& update,
     std::vector<Seconds>& d, std::vector<Seconds>& route_delay,
     std::vector<Seconds>& upstream, int max_iterations, Seconds tolerance,
@@ -95,7 +94,7 @@ FeasibilityStatus iterate_restricted(
     bool violated = false;
     for (std::size_t r = 0; r < paths.size(); ++r) {
       Seconds prefix = 0.0;
-      for (const net::ServerId u : *paths[r]) {
+      for (const net::ServerId u : paths[r]) {
         if (cl.in[u]) upstream[u] = std::max(upstream[u], prefix);
         prefix += d[u];
       }
@@ -114,7 +113,7 @@ FeasibilityStatus iterate_restricted(
       bool ok = true;
       for (std::size_t r = 0; r < paths.size(); ++r) {
         Seconds total = 0.0;
-        for (const net::ServerId u : *paths[r]) total += d[u];
+        for (const net::ServerId u : paths[r]) total += d[u];
         route_delay[r] = total;
         ok = ok && total <= deadline_of(r);
       }
@@ -254,7 +253,7 @@ FeasibilityStatus AnalysisEngine::run_frontier(
     sc.sums.resize(sc.rlist.size());
     for (std::size_t idx = 0; idx < sc.rlist.size(); ++idx) {
       Seconds prefix = 0.0;
-      for (const net::ServerId u : routes_[sc.rlist[idx]].servers) {
+      for (const net::ServerId u : servers_of(sc.rlist[idx])) {
         if (sc.active[u]) relax(u, prefix, max_change);
         prefix += d[u];
       }
@@ -282,8 +281,7 @@ FeasibilityStatus AnalysisEngine::run_frontier(
       touched_delay.clear();
       for (std::size_t idx = 0; idx < sc.rlist.size(); ++idx) {
         Seconds total = 0.0;
-        for (const net::ServerId u : routes_[sc.rlist[idx]].servers)
-          total += d[u];
+        for (const net::ServerId u : servers_of(sc.rlist[idx])) total += d[u];
         touched.push_back(sc.rlist[idx]);
         touched_delay.push_back(total);
         ok = ok && total <= deadline_;
@@ -305,7 +303,7 @@ FeasibilityStatus AnalysisEngine::run_frontier(
     for (const net::ServerId s : sc.changed_list) {
       for (const EngineRouteId rid : routes_by_server_[s]) {
         bool dirty = false;
-        for (const net::ServerId u : routes_[rid].servers) {
+        for (const net::ServerId u : servers_of(rid)) {
           if (sc.changed[u]) {
             dirty = true;
           } else if (dirty) {
@@ -354,19 +352,42 @@ void AnalysisEngine::mark_dirty(net::ServerId s) {
   solution_fresh_ = false;
 }
 
+EngineRouteId AnalysisEngine::store(std::span<const net::ServerId> route,
+                                    Seconds delay) {
+  if (dead_hops_ > hops_.size() / 2) {
+    std::vector<net::ServerId> packed;
+    packed.reserve(hops_.size() - dead_hops_);
+    for (RouteEntry& entry : routes_) {
+      const auto begin = static_cast<std::uint32_t>(packed.size());
+      if (entry.active)
+        packed.insert(packed.end(), hops_.begin() + entry.begin,
+                      hops_.begin() + entry.begin + entry.length);
+      else
+        entry.length = 0;
+      entry.begin = begin;
+    }
+    hops_.swap(packed);
+    dead_hops_ = 0;
+  }
+  const RouteEntry entry{static_cast<std::uint32_t>(hops_.size()),
+                         static_cast<std::uint32_t>(route.size()), delay,
+                         true};
+  hops_.insert(hops_.end(), route.begin(), route.end());
+  if (free_ids_.empty()) {
+    routes_.push_back(entry);
+    return routes_.size() - 1;
+  }
+  const EngineRouteId id = free_ids_.back();
+  free_ids_.pop_back();
+  routes_[id] = entry;
+  return id;
+}
+
 EngineRouteId AnalysisEngine::add_route(const net::ServerPath& route) {
   for (const net::ServerId s : route)
     if (s >= graph_->size())
       throw std::out_of_range("add_route: route references bad server");
-  EngineRouteId id;
-  if (!free_ids_.empty()) {
-    id = free_ids_.back();
-    free_ids_.pop_back();
-    routes_[id] = RouteEntry{route, 0.0, true};
-  } else {
-    id = routes_.size();
-    routes_.push_back(RouteEntry{route, 0.0, true});
-  }
+  const EngineRouteId id = store(route, 0.0);
   for (const net::ServerId s : route) {
     routes_by_server_[s].push_back(id);
     ++used_count_[s];
@@ -379,13 +400,13 @@ EngineRouteId AnalysisEngine::add_route(const net::ServerPath& route) {
 void AnalysisEngine::remove_route(EngineRouteId id) {
   if (id >= routes_.size() || !routes_[id].active)
     throw std::invalid_argument("remove_route: unknown route id");
-  RouteEntry& entry = routes_[id];
-  entry.active = false;
-  for (const net::ServerId s : entry.servers) {
+  routes_[id].active = false;
+  for (const net::ServerId s : servers_of(id)) {
     std::erase(routes_by_server_[s], id);
     --used_count_[s];
     mark_dirty(s);
   }
+  dead_hops_ += routes_[id].length;
   --active_routes_;
   free_ids_.push_back(id);
   // Delays may only decrease; warm starts are sound upward only, so the
@@ -427,9 +448,6 @@ const DelaySolution& AnalysisEngine::solve() {
       routes_[touched[r]].delay = touched_delay[r];
   } else {
     Closure cl;
-    auto route_path = [this](EngineRouteId rid) -> const net::ServerPath* {
-      return routes_[rid].active ? &routes_[rid].servers : nullptr;
-    };
     if (poisoned_) {
       // Previous state is not a sound lower bound (unsafe solve, or never
       // solved): restart the whole system from zero.
@@ -446,14 +464,14 @@ const DelaySolution& AnalysisEngine::solve() {
       // Removal / alpha decrease: the affected closure restarts from zero
       // (delays may shrink; warm starts are only sound upward).
       build_closure(servers, routes_.size(), pending_list_, routes_by_server_,
-                    route_path, cl);
+                    [this](EngineRouteId rid) { return servers_of(rid); },
+                    cl);
       for (const net::ServerId s : cl.list) delay_[s] = 0.0;
     }
 
-    std::vector<const net::ServerPath*> paths;
+    std::vector<std::span<const net::ServerId>> paths;
     paths.reserve(cl.routes.size());
-    for (const EngineRouteId rid : cl.routes)
-      paths.push_back(&routes_[rid].servers);
+    for (const EngineRouteId rid : cl.routes) paths.push_back(servers_of(rid));
 
     const Seconds base = bucket_.burst / bucket_.rate;
     std::vector<Seconds> route_delay, upstream(servers, 0.0);
@@ -542,38 +560,13 @@ RouteProbe AnalysisEngine::probe_route(
   return probe;
 }
 
-std::vector<RouteProbe> AnalysisEngine::probe_routes(
-    const std::vector<net::ServerPath>& candidates,
-    util::ThreadPool* pool) const {
-  std::vector<RouteProbe> out(candidates.size());
-  if (pool == nullptr || pool->thread_count() <= 1 || candidates.size() <= 1) {
-    for (std::size_t i = 0; i < candidates.size(); ++i)
-      out[i] = probe_route(candidates[i]);
-  } else {
-    pool->parallel_for(candidates.size(), [&](std::size_t i) {
-      out[i] = probe_route(candidates[i]);
-    });
-  }
-  return out;
-}
-
 EngineRouteId AnalysisEngine::commit_probe(
     std::span<const net::ServerId> route, const RouteProbe& probe) {
   if (!probe.safe())
     throw std::invalid_argument("commit_probe: probe is not safe");
   if (!solution_fresh_ || poisoned_ || !pending_list_.empty())
     throw std::logic_error("commit_probe: engine changed since the probe");
-  EngineRouteId id;
-  if (!free_ids_.empty()) {
-    id = free_ids_.back();
-    free_ids_.pop_back();
-    routes_[id] = RouteEntry{{route.begin(), route.end()}, probe.route_delay,
-                             true};
-  } else {
-    id = routes_.size();
-    routes_.push_back(
-        RouteEntry{{route.begin(), route.end()}, probe.route_delay, true});
-  }
+  const EngineRouteId id = store(route, probe.route_delay);
   for (const net::ServerId s : route) {
     routes_by_server_[s].push_back(id);
     ++used_count_[s];
@@ -665,12 +658,6 @@ Seconds AnalysisEngine::route_delay(EngineRouteId id) const {
   return routes_[id].delay;
 }
 
-const net::ServerPath& AnalysisEngine::route(EngineRouteId id) const {
-  if (id >= routes_.size() || !routes_[id].active)
-    throw std::invalid_argument("route: unknown route id");
-  return routes_[id].servers;
-}
-
 // ---------------------------------------------------------------------------
 // MulticlassEngine
 // ---------------------------------------------------------------------------
@@ -745,8 +732,8 @@ const MulticlassSolution& MulticlassEngine::solve() {
   Closure cl;
   const bool warm = !poisoned_ && !pending_cold_;
   UBAC_SPAN_ARG("engine.solve", "engine", "warm", warm ? 1.0 : 0.0);
-  auto route_path = [this](EngineRouteId rid) -> const net::ServerPath* {
-    return routes_[rid].active ? &routes_[rid].servers : nullptr;
+  auto route_path = [this](EngineRouteId rid) {
+    return std::span<const net::ServerId>(routes_[rid].servers);
   };
   if (poisoned_) {
     std::fill(delay_.begin(), delay_.end(), 0.0);
@@ -892,8 +879,8 @@ RouteProbe MulticlassEngine::probe_route(const traffic::Demand& demand,
   }
 
   Closure cl;
-  auto route_path = [this](EngineRouteId rid) -> const net::ServerPath* {
-    return routes_[rid].active ? &routes_[rid].servers : nullptr;
+  auto route_path = [this](EngineRouteId rid) {
+    return std::span<const net::ServerId>(routes_[rid].servers);
   };
   std::vector<net::ServerId> seeds(route.begin(), route.end());
   build_closure(servers_, routes_.size(), seeds, routes_by_server_, route_path,
@@ -988,22 +975,6 @@ RouteProbe MulticlassEngine::probe_route(const traffic::Demand& demand,
   if (telemetry_.dirty_servers)
     telemetry_.dirty_servers->record(static_cast<double>(cl.list.size()));
   return probe;
-}
-
-std::vector<RouteProbe> MulticlassEngine::probe_routes(
-    const traffic::Demand& demand,
-    const std::vector<net::ServerPath>& candidates,
-    util::ThreadPool* pool) const {
-  std::vector<RouteProbe> out(candidates.size());
-  if (pool == nullptr || pool->thread_count() <= 1 || candidates.size() <= 1) {
-    for (std::size_t i = 0; i < candidates.size(); ++i)
-      out[i] = probe_route(demand, candidates[i]);
-  } else {
-    pool->parallel_for(candidates.size(), [&](std::size_t i) {
-      out[i] = probe_route(demand, candidates[i]);
-    });
-  }
-  return out;
 }
 
 EngineRouteId MulticlassEngine::commit_probe(const traffic::Demand& demand,

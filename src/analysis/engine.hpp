@@ -28,11 +28,12 @@
 ///  * **Forked probe views.** probe_route() evaluates "committed set +
 ///    candidate" without mutating the engine: it copies the delay vector,
 ///    solves the candidate's dirty closure on the copy, and returns the
-///    sparse delta. Probes are const and touch only immutable committed
-///    state, so independent candidates can be scored concurrently on a
-///    util::ThreadPool (probe_routes) and the winner applied with
-///    commit_probe() in O(delta) — results are identical at any thread
-///    count by construction.
+///    sparse delta. The winner is applied with commit_probe() in
+///    O(delta). Probes are const and touch only immutable committed state;
+///    route selection scores a pair's candidates one after another, and
+///    the parallelism of configuration lives one level up, in the
+///    speculative alpha search (routing/max_util_search.hpp), where each
+///    thread owns a whole engine.
 ///
 /// The stateless solvers remain the regression oracle: a fresh engine's
 /// first solve() performs exactly the cold iteration, and
@@ -51,10 +52,6 @@
 #include "traffic/flow.hpp"
 #include "traffic/leaky_bucket.hpp"
 #include "traffic/service_class.hpp"
-
-namespace ubac::util {
-class ThreadPool;
-}
 
 namespace ubac::telemetry {
 class Counter;
@@ -155,13 +152,6 @@ class AnalysisEngine {
   /// concurrent probes.
   RouteProbe probe_route(std::span<const net::ServerId> route) const;
 
-  /// Probe several candidates, on `pool` when given (nullptr or a
-  /// single-thread pool scores sequentially). Results are positionally
-  /// aligned with `candidates` and independent of the thread count.
-  std::vector<RouteProbe> probe_routes(
-      const std::vector<net::ServerPath>& candidates,
-      util::ThreadPool* pool) const;
-
   /// Commit a candidate previously accepted by probe_route, applying its
   /// sparse delta instead of re-solving. The probe must be safe and the
   /// engine unchanged since the probe was taken.
@@ -188,15 +178,23 @@ class AnalysisEngine {
   /// Committed per-server delay vector (meaningful after a safe solve).
   const std::vector<Seconds>& server_delays() const { return delay_; }
   Seconds route_delay(EngineRouteId id) const;
-  const net::ServerPath& route(EngineRouteId id) const;
 
  private:
+  /// A committed route: its servers are hops_[begin, begin + length).
   struct RouteEntry {
-    net::ServerPath servers;
+    std::uint32_t begin = 0;
+    std::uint32_t length = 0;
     Seconds delay = 0.0;
     bool active = false;
   };
 
+  std::span<const net::ServerId> servers_of(EngineRouteId id) const {
+    return {hops_.data() + routes_[id].begin, routes_[id].length};
+  }
+  /// Append `route` to the arena and give it an id (a reused one when a
+  /// route was removed). Compacts the arena first once removed routes
+  /// fill half of it.
+  EngineRouteId store(std::span<const net::ServerId> route, Seconds delay);
   void mark_dirty(net::ServerId s);
   void rebuild_beta();
   void refresh_solution(int iterations);
@@ -223,6 +221,8 @@ class AnalysisEngine {
   EngineTelemetry telemetry_;
 
   std::vector<RouteEntry> routes_;
+  std::vector<net::ServerId> hops_;  ///< servers of every route, one arena
+  std::size_t dead_hops_ = 0;        ///< arena hops of removed routes
   std::vector<EngineRouteId> free_ids_;
   std::size_t active_routes_ = 0;
   /// Active route ids through each server (lazily compacted).
@@ -260,10 +260,6 @@ class MulticlassEngine {
   /// (class_index * server_count + server, delay).
   RouteProbe probe_route(const traffic::Demand& demand,
                          const net::ServerPath& route) const;
-  std::vector<RouteProbe> probe_routes(
-      const traffic::Demand& demand,
-      const std::vector<net::ServerPath>& candidates,
-      util::ThreadPool* pool) const;
   EngineRouteId commit_probe(const traffic::Demand& demand,
                              const net::ServerPath& route,
                              const RouteProbe& probe);

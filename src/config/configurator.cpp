@@ -32,12 +32,6 @@ Configurator::Configurator(const net::ServerGraph& graph,
     throw std::invalid_argument("Configurator: deadline must be > 0");
 }
 
-routing::HeuristicOptions Configurator::with_pool(
-    routing::HeuristicOptions options) const {
-  if (options.pool == nullptr) options.pool = pool_;
-  return options;
-}
-
 ConfigResult Configurator::commit(double alpha,
                                   std::vector<traffic::Demand> demands,
                                   std::vector<net::NodePath> routes,
@@ -81,7 +75,7 @@ ConfigResult Configurator::select_routes(
     const routing::HeuristicOptions& options) const {
   UBAC_SPAN_ARG("config.select_routes", "config", "alpha", alpha);
   const auto selection = routing::select_routes_heuristic(
-      *graph_, alpha, bucket_, deadline_, demands, with_pool(options));
+      *graph_, alpha, bucket_, deadline_, demands, options);
   if (!selection.success) {
     ConfigResult result;
     result.failure_reason =
@@ -100,7 +94,7 @@ ConfigResult Configurator::maximize(
     const routing::MaxUtilOptions& search) const {
   UBAC_SPAN_ARG("config.maximize", "config", "demands", demands.size());
   const auto result = routing::maximize_utilization_heuristic(
-      *graph_, bucket_, deadline_, demands, with_pool(heuristic), search);
+      *graph_, bucket_, deadline_, demands, heuristic, search);
   if (!result.any_feasible) {
     ConfigResult out;
     out.failure_reason = "maximize: no feasible utilization found";
@@ -115,8 +109,7 @@ ConfigResult Configurator::add_demands(
   UBAC_SPAN_ARG("config.add_demands", "config", "additions", additions.size());
   const auto pinned = base.server_routes(*graph_);
   const auto selection = routing::select_routes_heuristic_incremental(
-      *graph_, base.alpha, bucket_, deadline_, pinned, additions,
-      with_pool(options));
+      *graph_, base.alpha, bucket_, deadline_, pinned, additions, options);
   if (!selection.success) {
     ConfigResult result;
     result.failure_reason =
@@ -171,8 +164,7 @@ ConfigResult Configurator::reroute_avoiding(
                                   failed_servers.begin(),
                                   failed_servers.end());
   const auto selection = routing::select_routes_heuristic_incremental(
-      *graph_, base.alpha, bucket_, deadline_, pinned, affected,
-      with_pool(detour));
+      *graph_, base.alpha, bucket_, deadline_, pinned, affected, detour);
   if (!selection.success) {
     ConfigResult result;
     result.failure_reason =

@@ -103,23 +103,14 @@ class Configurator {
 
   const net::ServerGraph& graph() const { return *graph_; }
 
-  /// Thread pool for parallel candidate scoring in every selection entry
-  /// point (select_routes / maximize / add_demands / reroute_avoiding).
-  /// Used only when the per-call HeuristicOptions left `pool` unset;
-  /// results are identical at any thread count. The pool must outlive the
-  /// calls that use it.
-  void set_thread_pool(util::ThreadPool* pool) { pool_ = pool; }
-
  private:
   ConfigResult commit(double alpha, std::vector<traffic::Demand> demands,
                       std::vector<net::NodePath> routes,
                       std::string failure_context) const;
-  routing::HeuristicOptions with_pool(routing::HeuristicOptions options) const;
 
   const net::ServerGraph* graph_;
   traffic::LeakyBucket bucket_;
   Seconds deadline_;
-  util::ThreadPool* pool_ = nullptr;
 };
 
 /// Serialize a configuration to a line-oriented text format (alpha,

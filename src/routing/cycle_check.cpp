@@ -17,8 +17,9 @@ void RouteDependencyGraph::add_route(const net::ServerPath& route) {
   bool ordered = true;
   for (std::size_t i = 0; i + 1 < route.size(); ++i) {
     const Edge e{route[i], route[i + 1]};
-    if (edges_.insert(e).second) {
+    if (!has_edge(e)) {
       adj_[e.first].push_back(e.second);
+      ++edge_count_;
       ++in_degree_[e.second];
       ordered = ordered && forward(e);
     }
@@ -40,7 +41,7 @@ bool RouteDependencyGraph::stays_acyclic(
   bool ordered = true;
   for (std::size_t i = 0; i + 1 < route.size(); ++i) {
     const Edge e{route[i], route[i + 1]};
-    if (edges_.count(e)) continue;
+    if (has_edge(e)) continue;
     scratch_extra_.push_back(e);
     ordered = ordered && forward(e);
   }

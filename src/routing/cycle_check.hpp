@@ -9,9 +9,9 @@
 /// node per link server and a directed edge a->b whenever some committed
 /// route visits server a immediately before server b.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <set>
 #include <span>
 #include <utility>
 #include <vector>
@@ -21,7 +21,8 @@
 namespace ubac::routing {
 
 /// Incremental dependency graph over `server_count` link servers.
-/// Adjacency and in-degrees are maintained across add_route calls, along
+/// Adjacency (which doubles as the edge set: a link server's out-degree is
+/// small) and in-degrees are maintained across add_route calls, along
 /// with a topological order of the committed graph (the one its last Kahn
 /// pass produced). A query whose new edges all run forward in that order
 /// is accepted without a pass; otherwise it costs one Kahn pass over
@@ -40,7 +41,7 @@ class RouteDependencyGraph {
   /// Is the current graph acyclic?
   bool is_acyclic() const { return acyclic_; }
 
-  std::size_t edge_count() const { return edges_.size(); }
+  std::size_t edge_count() const { return edge_count_; }
 
  private:
   using Edge = std::pair<net::ServerId, net::ServerId>;
@@ -50,13 +51,18 @@ class RouteDependencyGraph {
   /// in a topological order of the union.
   bool acyclic_with(const std::vector<Edge>& extra) const;
 
+  bool has_edge(const Edge& e) const {
+    const auto& out = adj_[e.first];
+    return std::find(out.begin(), out.end(), e.second) != out.end();
+  }
+
   /// Does `e` run forward in the recorded topological order?
   bool forward(const Edge& e) const {
     return position_[e.first] < position_[e.second];
   }
 
   std::size_t server_count_;
-  std::set<Edge> edges_;
+  std::size_t edge_count_ = 0;
   std::vector<std::vector<net::ServerId>> adj_;
   std::vector<int> in_degree_;
   /// Rank of each server in a topological order of the committed graph

@@ -1,14 +1,133 @@
 #include "routing/max_util_search.hpp"
 
+#include <algorithm>
+#include <atomic>
+#include <condition_variable>
+#include <exception>
+#include <initializer_list>
+#include <memory>
+#include <mutex>
+#include <optional>
 #include <stdexcept>
+#include <thread>
 
 #include "net/shortest_path.hpp"
 #include "routing/candidate_set.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/span.hpp"
 #include "util/log.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ubac::routing {
+
+namespace {
+
+/// Speculative selector runs for the bisection, on a pool of helper
+/// threads. take() hands the search the result at an alpha: a helper's
+/// once it has started that run, else a run on the calling thread.
+/// prune() cancels the runs the search can no longer reach; nothing reads
+/// their results or exceptions. Destruction cancels every run, then joins
+/// the helpers.
+class Speculation {
+ public:
+  Speculation(const RouteSelector& selector, int helpers)
+      : selector_(selector) {
+    if (helpers > 0)
+      pool_.emplace(static_cast<std::size_t>(std::min(helpers, 2)));
+  }
+
+  ~Speculation() { prune(0.0, 0.0); }
+
+  Speculation(const Speculation&) = delete;
+  Speculation& operator=(const Speculation&) = delete;
+
+  /// The selector's result at `alpha`, or its exception. Unless a helper
+  /// has already finished it, helpers first start on `next`: alphas the
+  /// search may probe after this one, most likely first.
+  RouteSelectionResult take(double alpha,
+                            std::initializer_list<std::optional<double>> next) {
+    std::unique_lock lock(mu_);
+    std::shared_ptr<Run> run;
+    if (const auto it = find(alpha); it != runs_.end()) {
+      run = *it;
+      runs_.erase(it);
+    }
+    if (!run || !run->done)
+      for (const std::optional<double> a : next) launch(a);
+    if (!run || !run->started) {
+      if (run) run->started = true;  // claimed: its helper task skips it
+      lock.unlock();
+      return selector_(alpha);
+    }
+    done_.wait(lock, [&] { return run->done; });
+    if (run->error) std::rethrow_exception(run->error);
+    return std::move(run->result);
+  }
+
+  /// Cancel every run at an alpha outside the open interval (lo, hi).
+  void prune(double lo, double hi) {
+    const std::lock_guard lock(mu_);
+    std::erase_if(runs_, [&](const std::shared_ptr<Run>& run) {
+      if (lo < run->alpha && run->alpha < hi) return false;
+      run->stop = true;
+      return true;
+    });
+  }
+
+ private:
+  struct Run {
+    explicit Run(double a) : alpha(a) {}
+    const double alpha;
+    std::atomic<bool> stop{false};
+    // Guarded by mu_.
+    bool started = false;
+    bool done = false;
+    RouteSelectionResult result;
+    std::exception_ptr error;
+  };
+
+  std::vector<std::shared_ptr<Run>>::iterator find(double alpha) {
+    return std::find_if(runs_.begin(), runs_.end(),
+                        [&](const auto& run) { return run->alpha == alpha; });
+  }
+
+  /// Queue a helper run at `alpha` (mu_ held); nothing without helpers or
+  /// an alpha, or when a run at `alpha` exists.
+  void launch(std::optional<double> alpha) {
+    if (!pool_ || !alpha || find(*alpha) != runs_.end()) return;
+    auto run = std::make_shared<Run>(*alpha);
+    runs_.push_back(run);
+    pool_->submit([this, run] {
+      {
+        const std::lock_guard lock(mu_);
+        if (run->started || run->stop) return;
+        run->started = true;
+      }
+      RouteSelectionResult result;
+      std::exception_ptr error;
+      detail::set_stop_flag(&run->stop);
+      try {
+        result = selector_(run->alpha);
+      } catch (...) {
+        error = std::current_exception();
+      }
+      detail::set_stop_flag(nullptr);
+      const std::lock_guard lock(mu_);
+      run->result = std::move(result);
+      run->error = error;
+      run->done = true;
+      done_.notify_all();
+    });
+  }
+
+  const RouteSelector& selector_;
+  std::mutex mu_;
+  std::condition_variable done_;  ///< a helper finished a run
+  std::vector<std::shared_ptr<Run>> runs_;  ///< launched, not taken or pruned
+  std::optional<util::ThreadPool> pool_;    ///< destroyed (joined) first
+};
+
+}  // namespace
 
 MaxUtilResult maximize_utilization(double fan_in, int diameter,
                                    const traffic::LeakyBucket& bucket,
@@ -16,6 +135,18 @@ MaxUtilResult maximize_utilization(double fan_in, int diameter,
                                    const RouteSelector& selector,
                                    const MaxUtilOptions& options,
                                    const RouteReverifier& reverifier) {
+  const int helpers = std::thread::hardware_concurrency() >= 3 ? 2 : 0;
+  return detail::maximize_utilization(fan_in, diameter, bucket, deadline,
+                                      selector, options, reverifier, helpers);
+}
+
+MaxUtilResult detail::maximize_utilization(double fan_in, int diameter,
+                                           const traffic::LeakyBucket& bucket,
+                                           Seconds deadline,
+                                           const RouteSelector& selector,
+                                           const MaxUtilOptions& options,
+                                           const RouteReverifier& reverifier,
+                                           int helpers) {
   if (options.resolution <= 0.0)
     throw std::invalid_argument("maximize_utilization: bad resolution");
 
@@ -43,11 +174,26 @@ MaxUtilResult maximize_utilization(double fan_in, int diameter,
                                        : result.theorem4_upper;
   if (lo > hi) throw std::invalid_argument("maximize_utilization: lo > hi");
 
-  auto probe = [&](double alpha) {
+  // The midpoint the search probes next on [low, high], if it goes on.
+  const auto next_mid = [&](double low,
+                            double high) -> std::optional<double> {
+    if (!(high - low > options.resolution)) return std::nullopt;
+    const double mid = 0.5 * (low + high);
+    if (mid <= 0.0) return std::nullopt;
+    return mid;
+  };
+
+  // Speculation: while the selector runs at `alpha`, helpers start on the
+  // alphas the search may probe next. The search still consumes every
+  // step in the sequential order, so its result is the sequential one;
+  // prune() drops the runs an outcome made unreachable.
+  Speculation speculation(selector, helpers);
+  auto probe = [&](double alpha,
+                   std::initializer_list<std::optional<double>> next) {
     UBAC_SPAN_ARG("maxutil.probe", "routing", "alpha", alpha);
     ++result.probes;
     if (probes_metric != nullptr) probes_metric->add();
-    RouteSelectionResult r = selector(alpha);
+    RouteSelectionResult r = speculation.take(alpha, next);
     UBAC_LOG_DEBUG << "max-util probe alpha=" << alpha
                    << " -> " << (r.success ? "feasible" : "infeasible");
     return r;
@@ -77,8 +223,13 @@ MaxUtilResult maximize_utilization(double fan_in, int diameter,
 
   // The Theorem 4 lower bound should always be feasible for selectors that
   // keep routes within the diameter; verify rather than assume, and fall
-  // back to searching below it if needed.
-  RouteSelectionResult at_lo = probe(lo);
+  // back to searching below it if needed. As it rarely fails, its helpers
+  // take the first midpoint and the step after it on the feasible side,
+  // which is also the next step when the first midpoint is a reuse hit.
+  const std::optional<double> first_mid = next_mid(lo, hi);
+  RouteSelectionResult at_lo =
+      probe(lo, {first_mid,
+                 first_mid ? next_mid(*first_mid, hi) : std::nullopt});
   if (!at_lo.success) {
     UBAC_LOG_WARN << "selector infeasible at the Theorem 4 lower bound "
                   << lo << "; searching below it";
@@ -90,24 +241,25 @@ MaxUtilResult maximize_utilization(double fan_in, int diameter,
     result.max_alpha = lo;
     result.best = std::move(at_lo);
   }
+  speculation.prune(lo, hi);
 
-  while (hi - lo > options.resolution) {
-    const double mid = 0.5 * (lo + hi);
-    if (mid <= 0.0) break;
-    if (try_reuse(mid)) {
-      lo = mid;
-      result.max_alpha = mid;
-      continue;
-    }
-    RouteSelectionResult r = probe(mid);
-    if (r.success) {
-      lo = mid;
-      result.any_feasible = true;
-      result.max_alpha = mid;
-      result.best = std::move(r);
+  while (const std::optional<double> mid = next_mid(lo, hi)) {
+    if (try_reuse(*mid)) {
+      lo = *mid;
+      result.max_alpha = *mid;
     } else {
-      hi = mid;
+      RouteSelectionResult r =
+          probe(*mid, {next_mid(*mid, hi), next_mid(lo, *mid)});
+      if (r.success) {
+        lo = *mid;
+        result.any_feasible = true;
+        result.max_alpha = *mid;
+        result.best = std::move(r);
+      } else {
+        hi = *mid;
+      }
     }
+    speculation.prune(lo, hi);
   }
   return result;
 }

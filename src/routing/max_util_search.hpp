@@ -8,6 +8,15 @@
 /// heuristic, or the SP baseline) and keeps the upper/lower half of the
 /// interval depending on feasibility. The search stops when the interval
 /// shrinks below `resolution`.
+///
+/// The search is speculative: while the calling thread runs the selector
+/// at the midpoint, up to two helper threads run it at both midpoints the
+/// next step can reach (one per outcome). The steps are still consumed in
+/// the sequential order — the reuse fast path first, then the selector
+/// result — so the outcome is identical to the sequential search; runs at
+/// an alpha the search can no longer reach are cancelled (see
+/// detail::stop_requested). Selectors must therefore be safe to call
+/// concurrently at different alphas.
 
 #include <functional>
 
@@ -54,13 +63,29 @@ struct MaxUtilResult {
 
 /// Maximize alpha for an arbitrary selector. `fan_in` and `diameter` seed
 /// the Theorem 4 interval. `reverifier` (optional) enables the
-/// reuse_feasible_routes fast path.
+/// reuse_feasible_routes fast path. Speculates on two helper threads when
+/// the host has at least three hardware threads, else runs sequentially.
 MaxUtilResult maximize_utilization(double fan_in, int diameter,
                                    const traffic::LeakyBucket& bucket,
                                    Seconds deadline,
                                    const RouteSelector& selector,
                                    const MaxUtilOptions& options = {},
                                    const RouteReverifier& reverifier = {});
+
+namespace detail {
+
+/// The same search with an explicit number of helper threads (0 is the
+/// sequential search; at most 2 are used). The result does not depend on
+/// `helpers`.
+MaxUtilResult maximize_utilization(double fan_in, int diameter,
+                                   const traffic::LeakyBucket& bucket,
+                                   Seconds deadline,
+                                   const RouteSelector& selector,
+                                   const MaxUtilOptions& options,
+                                   const RouteReverifier& reverifier,
+                                   int helpers);
+
+}  // namespace detail
 
 /// Convenience wrappers for the two selectors compared in Table 1.
 MaxUtilResult maximize_utilization_heuristic(

@@ -9,7 +9,6 @@
 #include "net/shortest_path.hpp"
 #include "routing/cycle_check.hpp"
 #include "util/log.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ubac::routing {
 
@@ -81,41 +80,22 @@ MulticlassSelectionResult select_routes_multiclass(
       analysis::RouteProbe probe;
       bool found = false;
     };
+    // Rule (3): the smallest own delay wins (the first on a tie); with
+    // the rule off, the first feasible candidate.
     auto try_group = [&](const std::vector<const net::NodePath*>& group) {
       Best best;
-      const bool parallel = options.pool != nullptr && group.size() > 1;
-      if (parallel || options.pick_min_delay) {
-        std::vector<net::ServerPath> paths;
-        paths.reserve(group.size());
-        for (const net::NodePath* path : group)
-          paths.push_back(
-              candidate_servers[static_cast<std::size_t>(path -
-                                                         candidates.data())]);
-        auto probes = engine.probe_routes(demand, paths, options.pool);
-        for (std::size_t g = 0; g < group.size(); ++g) {
-          if (!probes[g].safe()) continue;
-          const Seconds own = probes[g].route_delay;
-          if (!best.found || own < best.own_delay) {
-            best.found = true;
-            best.candidate = static_cast<std::size_t>(group[g] -
-                                                      candidates.data());
-            best.own_delay = own;
-            best.probe = std::move(probes[g]);
-          }
-          if (!options.pick_min_delay) break;
-        }
-      } else {
-        for (const net::NodePath* path : group) {
-          const auto c = static_cast<std::size_t>(path - candidates.data());
-          analysis::RouteProbe probe =
-              engine.probe_route(demand, candidate_servers[c]);
-          if (!probe.safe()) continue;
+      for (const net::NodePath* path : group) {
+        const auto c = static_cast<std::size_t>(path - candidates.data());
+        analysis::RouteProbe probe =
+            engine.probe_route(demand, candidate_servers[c]);
+        if (!probe.safe()) continue;
+        if (!best.found || probe.route_delay < best.own_delay) {
           best.found = true;
           best.candidate = c;
           best.own_delay = probe.route_delay;
           best.probe = std::move(probe);
-          break;
         }
+        if (!options.pick_min_delay) break;
       }
       return best;
     };

@@ -12,11 +12,12 @@
 #include "telemetry/span.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ubac::routing {
 
 namespace {
+
+thread_local const std::atomic<bool>* t_stop = nullptr;
 
 void check_demands(const net::Topology& topo,
                    const std::vector<traffic::Demand>& demands) {
@@ -101,6 +102,11 @@ RouteSelectionResult heuristic_core(
   for (std::size_t rank = 0; rank < order.size(); ++rank) {
     const std::size_t demand_index = order[rank];
     const traffic::Demand& demand = demands[demand_index];
+    // A cancelled speculative run gives up here; nobody reads its result.
+    if (detail::stop_requested()) {
+      result.failed_demand = demand_index;
+      return result;
+    }
     UBAC_SPAN_ARG("route.select_pair", "routing", "demand", demand_index);
     const auto servers_of = [&](std::size_t c) {
       return candidates.servers(demand_index, c);
@@ -129,72 +135,14 @@ RouteSelectionResult heuristic_core(
       bool found = false;
     };
 
-    // Score a group of candidates against the committed set. Independent
-    // probes fork the engine's committed view, so they can run on the
-    // pool; the reduction is by (delay, group order), which makes the
-    // winner independent of thread count.
+    // Score a group of candidates against the committed set.
     auto try_group = [&](const std::vector<std::size_t>& group) {
       Best best;
-      const bool parallel = options.pool != nullptr &&
-                            options.pool->thread_count() > 1 &&
-                            group.size() > 1;
-      if (parallel && options.pick_min_delay) {
-        // Hybrid pruned-parallel: probe the lowest-bound candidate first,
-        // drop everyone it provably beats, then score the survivors on
-        // the pool. The reduction is lexicographic on (converged delay,
-        // group order), so the winner matches the sequential path and is
-        // independent of thread count.
-        const std::vector<Seconds>& committed = engine.server_delays();
-        std::vector<Seconds> bounds(group.size(), 0.0);
-        std::size_t first = 0;
-        for (std::size_t g = 0; g < group.size(); ++g) {
-          for (const net::ServerId s : servers_of(group[g]))
-            bounds[g] += committed[s];
-          if (bounds[g] < bounds[first]) first = g;
-        }
-        analysis::RouteProbe first_probe =
-            engine.probe_route(servers_of(group[first]));
-        std::vector<std::size_t> rest;
-        for (std::size_t g = 0; g < group.size(); ++g) {
-          if (g == first) continue;
-          // A candidate whose lower bound already reaches the converged
-          // first-probe delay loses the (delay, group order) comparison —
-          // on an exact tie the earlier group member would win, and the
-          // pruned one is later iff first < g.
-          if (first_probe.safe() &&
-              (bounds[g] > first_probe.route_delay ||
-               (bounds[g] == first_probe.route_delay && first < g)))
-            continue;
-          rest.push_back(g);
-        }
-        std::vector<net::ServerPath> paths;
-        paths.reserve(rest.size());
-        for (const std::size_t g : rest) {
-          const auto servers = servers_of(group[g]);
-          paths.emplace_back(servers.begin(), servers.end());
-        }
-        auto probes = engine.probe_routes(paths, options.pool);
-        auto consider = [&](std::size_t g, analysis::RouteProbe& probe) {
-          if (!probe.safe()) return;
-          const Seconds own = probe.route_delay;
-          const bool wins =
-              !best.found || own < best.own_delay ||
-              (own == best.own_delay && group[g] < best.candidate);
-          if (wins) {
-            best.found = true;
-            best.candidate = group[g];
-            best.own_delay = own;
-            best.probe = std::move(probe);
-          }
-        };
-        consider(first, first_probe);
-        for (std::size_t i = 0; i < rest.size(); ++i)
-          consider(rest[i], probes[i]);
-      } else if (options.pick_min_delay) {
-        // Sequential min-delay with sound pruning: the committed delays
-        // are a lower bound of a candidate's converged delay, so once its
-        // bound reaches the best's *converged* delay it cannot win the
-        // strict comparison. Same winner as probing everything.
+      if (options.pick_min_delay) {
+        // Min-delay with sound pruning: the committed delays are a lower
+        // bound of a candidate's converged delay, so once its bound reaches
+        // the best's *converged* delay it cannot win the strict
+        // comparison. Same winner as probing everything.
         const std::vector<Seconds>& committed = engine.server_delays();
         for (const std::size_t c : group) {
           Seconds bound = 0.0;
@@ -248,10 +196,17 @@ RouteSelectionResult heuristic_core(
   // routes in input-demand order).
   UBAC_SPAN_ARG("route.final_verify", "routing", "routes",
                 pinned.size() + result.server_routes.size());
-  std::vector<net::ServerPath> all = pinned;
-  for (const auto& route : result.server_routes) all.push_back(route);
-  result.solution = analysis::solve_two_class(graph, alpha, bucket, deadline,
-                                              all, options.fixed_point);
+  if (pinned.empty()) {
+    result.solution = analysis::solve_two_class(
+        graph, alpha, bucket, deadline, result.server_routes,
+        options.fixed_point);
+  } else {
+    std::vector<net::ServerPath> all = pinned;
+    all.insert(all.end(), result.server_routes.begin(),
+               result.server_routes.end());
+    result.solution = analysis::solve_two_class(graph, alpha, bucket, deadline,
+                                                all, options.fixed_point);
+  }
   result.success = result.solution.safe();
   if (!result.success) {
     // Should not happen (cold solve of the same set the warm solves
@@ -336,5 +291,11 @@ RouteSelectionResult detail::select_routes_heuristic(
   return heuristic_core(graph, alpha, bucket, deadline, {}, demands, options,
                         &candidates);
 }
+
+bool detail::stop_requested() {
+  return t_stop != nullptr && t_stop->load(std::memory_order_relaxed);
+}
+
+void detail::set_stop_flag(const std::atomic<bool>* flag) { t_stop = flag; }
 
 }  // namespace ubac::routing

@@ -18,6 +18,7 @@
 /// whole selection. Every rule is individually switchable for the
 /// ablation bench.
 
+#include <atomic>
 #include <cstddef>
 #include <limits>
 #include <vector>
@@ -26,10 +27,6 @@
 #include "net/server_graph.hpp"
 #include "traffic/flow.hpp"
 #include "traffic/leaky_bucket.hpp"
-
-namespace ubac::util {
-class ThreadPool;
-}
 
 namespace ubac::routing {
 
@@ -47,11 +44,6 @@ struct HeuristicOptions {
   /// over this seed recover some of what backtracking would.
   std::uint64_t order_jitter_seed = 0;
   analysis::FixedPointOptions fixed_point;
-  /// When set, the independent candidate routes of a pair are scored
-  /// concurrently on forked engine views (analysis::AnalysisEngine). The
-  /// selection result is identical at any thread count; nullptr (or a
-  /// single-thread pool) scores sequentially.
-  util::ThreadPool* pool = nullptr;
   /// Optional precomputed k-shortest-path candidate lists, aligned with
   /// the demand vector; nullptr computes them. Candidates are
   /// alpha-independent, so maximize_utilization_heuristic builds them and
@@ -110,5 +102,19 @@ RouteSelectionResult select_routes_heuristic_incremental(
     const std::vector<net::ServerPath>& pinned,
     const std::vector<traffic::Demand>& new_demands,
     const HeuristicOptions& options = {});
+
+namespace detail {
+
+/// Cooperative cancellation of speculative selector runs. The alpha search
+/// (max_util_search.hpp) installs a stop flag on each helper run and
+/// raises it once the run's alpha leaves the live search interval. The
+/// heuristic polls stop_requested() once per demand and then gives up with
+/// a failed result, which the search never reads.
+bool stop_requested();
+
+/// Installs `flag` (nullptr: none) as the calling thread's stop flag.
+void set_stop_flag(const std::atomic<bool>* flag);
+
+}  // namespace detail
 
 }  // namespace ubac::routing

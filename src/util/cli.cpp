@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <stdexcept>
 #include <type_traits>
 
@@ -56,7 +57,7 @@ ArgParser& ArgParser::describe(const std::string& key,
 }
 
 void ArgParser::validate() const {
-  std::set<std::string> known;
+  std::set<std::string> known{"help"};
   for (const auto& [key, help] : descriptions_) known.insert(key);
   std::string unknown;
   for (const auto& [key, value] : values_)
@@ -100,7 +101,27 @@ std::string ArgParser::usage(const std::string& program) const {
   std::string out = "usage: " + program + " [options]\n";
   for (const auto& [key, help] : descriptions_)
     out += "  --" + key + "  " + help + "\n";
+  out += "  --help  print this message and exit\n";
   return out;
+}
+
+int run_main(const ArgParser& args, const std::string& program,
+             const std::function<int()>& body) {
+  try {
+    if (args.has("help")) {
+      std::fputs(args.usage(program).c_str(), stdout);
+      return 0;
+    }
+    args.validate();
+    return body();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n\n%s", e.what(),
+                 args.usage(program).c_str());
+    return 2;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }
 
 }  // namespace ubac::util

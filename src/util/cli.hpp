@@ -6,7 +6,9 @@
 /// Supports `--key=value` and boolean `--flag` forms (the space-separated
 /// `--key value` form is ambiguous with flags and is not supported).
 /// Unknown options throw so typos do not silently change experiments.
+/// `--help` is always accepted; run_main() answers it.
 
+#include <functional>
 #include <map>
 #include <optional>
 #include <set>
@@ -23,7 +25,8 @@ class ArgParser {
   ArgParser& describe(const std::string& key, const std::string& help);
 
   /// After all describe() calls, validate that every provided option was
-  /// declared. Throws std::invalid_argument listing unknown options.
+  /// declared (or is --help). Throws std::invalid_argument listing unknown
+  /// options.
   void validate() const;
 
   bool has(const std::string& key) const;
@@ -47,5 +50,13 @@ class ArgParser {
   std::vector<std::string> positional_;
   std::vector<std::pair<std::string, std::string>> descriptions_;
 };
+
+/// The entry-point policy of the tools, benches and examples: `--help`
+/// prints the usage and returns 0; otherwise `body` runs after validate().
+/// A std::invalid_argument (unknown option, malformed value) prints the
+/// error and the usage and returns 2; any other exception prints the error
+/// and returns 1.
+int run_main(const ArgParser& args, const std::string& program,
+             const std::function<int()>& body);
 
 }  // namespace ubac::util

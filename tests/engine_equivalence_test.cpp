@@ -3,10 +3,7 @@
 // a cold oracle solve of the same committed set — identical feasibility
 // status and per-server delays within 1e-9 — and probe/commit must be a
 // pure shortcut for add_route + solve. Randomized sequences exercise the
-// warm, frontier, dirty-closure, and poisoned re-solve paths; a final
-// group checks that heuristic selection is bit-identical at any thread
-// count (the probes fork immutable state, the reduction is by (delay,
-// candidate order)).
+// warm, frontier, dirty-closure, and poisoned re-solve paths.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -17,10 +14,8 @@
 #include "net/ksp.hpp"
 #include "net/topology_factory.hpp"
 #include "routing/multiclass_selection.hpp"
-#include "routing/route_selection.hpp"
 #include "traffic/workload.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 #include "util/units.hpp"
 
 namespace ubac::analysis {
@@ -210,73 +205,6 @@ void run_multiclass_sequence(std::uint64_t seed) {
 TEST(EngineEquivalence, MulticlassRandomizedSequences) {
   for (std::uint64_t seed = 0; seed < 300; ++seed)
     run_multiclass_sequence(seed);
-}
-
-// ---------------------------------------------------------------------------
-// Thread-count determinism
-// ---------------------------------------------------------------------------
-
-TEST(EngineEquivalence, SelectionIdenticalAcrossThreadCounts) {
-  const auto topo = net::random_connected(14, 3.5, 97);
-  const net::ServerGraph graph(topo);
-  const auto demands = traffic::all_ordered_pairs(topo);
-  const Seconds deadline = milliseconds(100);
-
-  util::ThreadPool pool1(1);
-  util::ThreadPool pool8(8);
-  for (const double alpha : {0.15, 0.25, 0.35}) {
-    routing::HeuristicOptions base;
-    base.candidates_per_pair = 4;
-
-    routing::HeuristicOptions seq = base;
-    routing::HeuristicOptions one = base;
-    one.pool = &pool1;
-    routing::HeuristicOptions many = base;
-    many.pool = &pool8;
-
-    const auto r_seq = routing::select_routes_heuristic(
-        graph, alpha, kVoice, deadline, demands, seq);
-    const auto r_one = routing::select_routes_heuristic(
-        graph, alpha, kVoice, deadline, demands, one);
-    const auto r_many = routing::select_routes_heuristic(
-        graph, alpha, kVoice, deadline, demands, many);
-
-    EXPECT_EQ(r_seq.success, r_many.success) << "alpha=" << alpha;
-    EXPECT_EQ(r_one.success, r_many.success) << "alpha=" << alpha;
-    ASSERT_EQ(r_seq.routes.size(), r_many.routes.size());
-    for (std::size_t i = 0; i < r_seq.routes.size(); ++i) {
-      EXPECT_EQ(r_seq.routes[i], r_one.routes[i]) << "demand " << i;
-      EXPECT_EQ(r_seq.routes[i], r_many.routes[i]) << "demand " << i;
-    }
-  }
-}
-
-TEST(EngineEquivalence, ProbeBatchMatchesSequential) {
-  const auto topo = net::random_connected(12, 3.0, 55);
-  const net::ServerGraph graph(topo, 6u);
-  const Seconds deadline = milliseconds(80);
-  util::Xoshiro256 rng(2024);
-
-  AnalysisEngine engine(graph, 0.3, kVoice, deadline);
-  for (int i = 0; i < 30; ++i)
-    engine.add_route(random_route(topo, graph, rng));
-  ASSERT_TRUE(engine.solve().safe());
-
-  std::vector<net::ServerPath> candidates;
-  for (int i = 0; i < 16; ++i)
-    candidates.push_back(random_route(topo, graph, rng));
-
-  util::ThreadPool pool(8);
-  const auto parallel = engine.probe_routes(candidates, &pool);
-  const auto serial = engine.probe_routes(candidates, nullptr);
-  ASSERT_EQ(parallel.size(), serial.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(parallel[i].status, serial[i].status) << "candidate " << i;
-    EXPECT_DOUBLE_EQ(parallel[i].route_delay, serial[i].route_delay);
-    EXPECT_EQ(parallel[i].server_delta, serial[i].server_delta);
-    EXPECT_EQ(parallel[i].committed_route_delta,
-              serial[i].committed_route_delta);
-  }
 }
 
 }  // namespace

@@ -2,18 +2,23 @@
 // baseline, the Section 5.2 heuristic, and the Section 5.3 maximizer.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <cmath>
 #include <set>
+#include <stdexcept>
+#include <thread>
 
 #include "analysis/bounds.hpp"
 #include "net/ksp.hpp"
 #include "net/shortest_path.hpp"
 #include "net/topology_factory.hpp"
+#include "routing/candidate_set.hpp"
 #include "routing/cycle_check.hpp"
 #include "routing/max_util_search.hpp"
 #include "routing/route_selection.hpp"
 #include "traffic/workload.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 #include "util/units.hpp"
 
 namespace ubac::routing {
@@ -166,6 +171,25 @@ TEST(HeuristicSelection, ProducesValidAlignedRoutes) {
     EXPECT_EQ(result.server_routes[i], graph.map_path(result.routes[i]));
   }
   EXPECT_TRUE(result.solution.safe());
+}
+
+TEST(HeuristicSelection, GivesUpOnceItsStopFlagIsRaised) {
+  const auto topo = net::mci_backbone();
+  const net::ServerGraph graph(topo, 6u);
+  const auto demands = far_pairs(topo, 40);
+  std::atomic<bool> stop{false};
+  detail::set_stop_flag(&stop);
+  EXPECT_FALSE(detail::stop_requested());
+  EXPECT_TRUE(select_routes_heuristic(graph, 0.3, kVoice, kDeadline, demands)
+                  .success);
+  stop = true;
+  EXPECT_TRUE(detail::stop_requested());
+  const auto stopped =
+      select_routes_heuristic(graph, 0.3, kVoice, kDeadline, demands);
+  detail::set_stop_flag(nullptr);
+  EXPECT_FALSE(stopped.success);
+  EXPECT_NE(stopped.failed_demand, kNoFailedDemand);
+  EXPECT_FALSE(detail::stop_requested());
 }
 
 TEST(HeuristicSelection, FailsAtSaturationWithFailedDemandIndex) {
@@ -345,15 +369,10 @@ TEST(SelectionEquivalence, CandidateCacheIsTransparentOnMci) {
 }
 
 TEST(SelectionEquivalence, CandidateCacheIsTransparentOnRandomTopologies) {
-  util::ThreadPool pool(2);
   for (const std::uint64_t seed : {1031u, 1047u}) {
     const auto topo = net::random_connected(30, 3.5, seed);
     const net::ServerGraph graph(topo);
-    HeuristicOptions options;
-    // The second case scores candidates on the pool (pruned-parallel path).
-    if (seed == 1047u) options.pool = &pool;
-    expect_cache_is_transparent(graph, traffic::all_ordered_pairs(topo),
-                                options);
+    expect_cache_is_transparent(graph, traffic::all_ordered_pairs(topo), {});
   }
 }
 
@@ -371,6 +390,221 @@ TEST(SelectionEquivalence, CandidateCacheIsTransparentWithForbiddenServers) {
   for (const auto& route : search.best.server_routes)
     for (const net::ServerId bad : options.forbidden_servers)
       EXPECT_EQ(std::find(route.begin(), route.end(), bad), route.end());
+}
+
+// ---------------------------------------------------------------------------
+// Speculative search: 0 and 2 helper threads give the same search
+// ---------------------------------------------------------------------------
+
+void expect_same_search(const MaxUtilResult& a, const MaxUtilResult& b) {
+  EXPECT_EQ(a.max_alpha, b.max_alpha);
+  EXPECT_EQ(a.any_feasible, b.any_feasible);
+  EXPECT_EQ(a.probes, b.probes);
+  EXPECT_EQ(a.reverify_hits, b.reverify_hits);
+  EXPECT_EQ(a.best.solution.iterations, b.best.solution.iterations);
+  expect_same_selection(a.best, b.best);
+}
+
+/// Feasible up to `threshold`. The routes and the delay vector record the
+/// alpha a result was computed at, so a result from the wrong alpha shows.
+/// Sleeps a little, varying with alpha, to vary the interleavings.
+RouteSelectionResult threshold_selection(double alpha, double threshold) {
+  std::this_thread::sleep_for(std::chrono::microseconds(
+      static_cast<int>(std::fmod(alpha * 7919.0, 1.0) * 300.0)));
+  RouteSelectionResult r;
+  r.success = alpha <= threshold;
+  r.routes = {{static_cast<net::NodeId>(alpha * 1e6), 1}};
+  r.server_routes = {{static_cast<net::ServerId>(alpha * 1e7)}};
+  r.solution.status = r.success ? analysis::FeasibilityStatus::kSafe
+                                : analysis::FeasibilityStatus::kDeadlineViolated;
+  r.solution.server_delay = {alpha};
+  return r;
+}
+
+TEST(MaxUtilSearch, SpeculationMatchesSequentialOnSyntheticSelectors) {
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    util::Xoshiro256 rng(seed);
+    const double threshold = rng.uniform(0.0, 1.0);
+    const double slack = rng.uniform(0.0, 0.2);
+    MaxUtilOptions options;
+    options.search_lo = rng.uniform(0.0, 0.5);
+    options.search_hi = rng.uniform(options.search_lo, 1.0);
+    options.resolution = rng.uniform(0.001, 0.05);
+    const RouteSelector selector = [threshold](double alpha) {
+      return threshold_selection(alpha, threshold);
+    };
+    // A route set found at alpha f re-verifies up to f plus a slack that
+    // varies with f, so hits and misses mix.
+    const RouteReverifier reverifier =
+        [slack](double alpha, const RouteSelectionResult& last) {
+          const double found = last.solution.server_delay.at(0);
+          analysis::DelaySolution sol;
+          sol.status = alpha <= found + slack * std::fmod(found * 31.0, 1.0)
+                           ? analysis::FeasibilityStatus::kSafe
+                           : analysis::FeasibilityStatus::kDeadlineViolated;
+          sol.server_delay = {alpha, found};
+          return sol;
+        };
+    for (const bool reuse : {false, true}) {
+      options.reuse_feasible_routes = reuse;
+      const auto sequential = detail::maximize_utilization(
+          4.0, 3, kVoice, kDeadline, selector, options, reverifier, 0);
+      const auto speculative = detail::maximize_utilization(
+          4.0, 3, kVoice, kDeadline, selector, options, reverifier, 2);
+      SCOPED_TRACE(::testing::Message() << "seed=" << seed
+                                        << " reuse=" << reuse);
+      expect_same_search(sequential, speculative);
+      EXPECT_GT(sequential.probes, 0);
+    }
+  }
+}
+
+TEST(MaxUtilSearch, HeuristicIdenticalAtZeroAndTwoHelpers) {
+  const auto run = [](const net::ServerGraph& graph,
+                      const std::vector<traffic::Demand>& demands,
+                      MaxUtilOptions options, int helpers) {
+    const detail::CandidateSet candidates(graph, demands, 8, nullptr);
+    const HeuristicOptions heuristic;
+    return detail::maximize_utilization(
+        graph.server(0).fan_in, net::diameter(graph.topology()), kVoice,
+        kDeadline,
+        [&](double alpha) {
+          return detail::select_routes_heuristic(
+              graph, alpha, kVoice, kDeadline, demands, heuristic, candidates);
+        },
+        options,
+        [&](double alpha, const RouteSelectionResult& last) {
+          return analysis::solve_two_class(
+              graph, alpha, kVoice, kDeadline, last.server_routes, {},
+              last.solution.safe() ? &last.solution.server_delay : nullptr);
+        },
+        helpers);
+  };
+  const auto mci = net::mci_backbone();
+  const net::ServerGraph mci_graph(mci, 6u);
+  const auto mci_demands = traffic::all_ordered_pairs(mci);
+  for (const bool reuse : {true, false}) {
+    MaxUtilOptions options;
+    options.reuse_feasible_routes = reuse;
+    SCOPED_TRACE(::testing::Message() << "MCI reuse=" << reuse);
+    const auto sequential = run(mci_graph, mci_demands, options, 0);
+    EXPECT_TRUE(sequential.any_feasible);
+    expect_same_search(sequential, run(mci_graph, mci_demands, options, 2));
+  }
+  for (const std::uint64_t seed : {1031u, 1047u}) {
+    const auto topo = net::random_connected(30, 3.5, seed);
+    const net::ServerGraph graph(topo);
+    const auto demands = traffic::all_ordered_pairs(topo);
+    SCOPED_TRACE(::testing::Message() << "random_connected seed=" << seed);
+    const auto sequential = run(graph, demands, {}, 0);
+    EXPECT_TRUE(sequential.any_feasible);
+    expect_same_search(sequential, run(graph, demands, {}, 2));
+    // The public entry point picks its helpers from the host.
+    expect_same_search(sequential, maximize_utilization_heuristic(
+                                       graph, kVoice, kDeadline, demands));
+  }
+}
+
+// The speculative schedule on [0.1, 0.9] at resolution 0.1 with the
+// selector feasible up to 0.3: the caller probes 0.1 while the helpers
+// run 0.5 and the step after it on the feasible side, 0.7. The 0.5 run
+// holds its verdict until 0.7 has started (when `hold` is set), so 0.7 is
+// always in flight when 0.5 comes back infeasible and prunes it. The
+// sequential search never evaluates 0.7.
+constexpr double kPrunedAlpha = 0.7;
+
+MaxUtilOptions pruning_interval() {
+  MaxUtilOptions options;
+  options.search_lo = 0.1;
+  options.search_hi = 0.9;
+  options.resolution = 0.1;
+  return options;
+}
+
+/// Waits (bounded) until `flag` is set; true when it was.
+bool wait_for(const std::atomic<bool>& flag, std::chrono::seconds limit) {
+  const auto end = std::chrono::steady_clock::now() + limit;
+  while (!flag.load()) {
+    if (std::chrono::steady_clock::now() > end) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return true;
+}
+
+TEST(MaxUtilSearch, PrunedSlowRunEndsEarly) {
+  std::atomic<bool> hold{false}, pruned_started{false}, pruned_stopped{false};
+  const RouteSelector selector = [&](double alpha) {
+    if (alpha == kPrunedAlpha) {
+      pruned_started = true;
+      // Far slower than the whole search unless cancelled.
+      pruned_stopped = [] {
+        const auto end =
+            std::chrono::steady_clock::now() + std::chrono::seconds(60);
+        while (std::chrono::steady_clock::now() < end) {
+          if (detail::stop_requested()) return true;
+          std::this_thread::sleep_for(std::chrono::microseconds(100));
+        }
+        return false;
+      }();
+    } else if (alpha == 0.5 && hold) {
+      wait_for(pruned_started, std::chrono::seconds(10));
+    }
+    return threshold_selection(alpha, 0.3);
+  };
+  const auto sequential = detail::maximize_utilization(
+      4.0, 3, kVoice, kDeadline, selector, pruning_interval(), {}, 0);
+  EXPECT_FALSE(pruned_started.load());
+
+  hold = true;
+  const auto start = std::chrono::steady_clock::now();
+  const auto speculative = detail::maximize_utilization(
+      4.0, 3, kVoice, kDeadline, selector, pruning_interval(), {}, 2);
+  const std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_TRUE(pruned_started.load());
+  EXPECT_TRUE(pruned_stopped.load());
+  EXPECT_LT(took.count(), 30.0);
+  expect_same_search(sequential, speculative);
+}
+
+TEST(MaxUtilSearch, ThrowAtConsumedAlphaPropagates) {
+  // 0.1 runs on the caller; 0.5 on a helper (then consumed).
+  for (const double bad : {0.1, 0.5}) {
+    const RouteSelector selector = [bad](double alpha) {
+      if (alpha == bad) throw std::runtime_error("selector failed");
+      return threshold_selection(alpha, 0.3);
+    };
+    for (const int helpers : {0, 2}) {
+      SCOPED_TRACE(::testing::Message() << "bad=" << bad
+                                        << " helpers=" << helpers);
+      EXPECT_THROW(detail::maximize_utilization(4.0, 3, kVoice, kDeadline,
+                                                selector, pruning_interval(),
+                                                {}, helpers),
+                   std::runtime_error);
+    }
+  }
+}
+
+TEST(MaxUtilSearch, ThrowAtNeverConsumedAlphaIsDiscarded) {
+  std::atomic<bool> hold{false}, pruned_started{false};
+  const RouteSelector selector = [&](double alpha) {
+    if (alpha == kPrunedAlpha) {
+      pruned_started = true;
+      throw std::runtime_error("speculative run failed");
+    }
+    if (alpha == 0.5 && hold) wait_for(pruned_started, std::chrono::seconds(10));
+    return threshold_selection(alpha, 0.3);
+  };
+  const auto sequential = detail::maximize_utilization(
+      4.0, 3, kVoice, kDeadline, selector, pruning_interval(), {}, 0);
+  EXPECT_FALSE(pruned_started.load());
+  hold = true;
+  MaxUtilResult speculative;
+  EXPECT_NO_THROW(speculative = detail::maximize_utilization(
+                      4.0, 3, kVoice, kDeadline, selector, pruning_interval(),
+                      {}, 2));
+  EXPECT_TRUE(pruned_started.load());
+  expect_same_search(sequential, speculative);
 }
 
 }  // namespace

@@ -718,7 +718,11 @@ TEST(SolverTelemetry, FixedPointRecordsIterationsAndOutcome) {
 TEST(ControllerTelemetry, OverheadOnTheHotPathIsBounded) {
   Scenario s;
   constexpr std::size_t kOps = 150'000;
-  constexpr int kReps = 5;
+  // Base and instrumented runs alternate in pairs (the order flips every
+  // pair), and the bound applies to the median of the per-pair ratios, so
+  // a burst of load from other processes skews a pair or two, not the
+  // verdict.
+  constexpr int kPairs = 25;
 
   const auto churn = [&](admission::AdmissionController& ctl) {
     util::Xoshiro256 rng(0xBEEF);
@@ -750,14 +754,29 @@ TEST(ControllerTelemetry, OverheadOnTheHotPathIsBounded) {
     return wall.count();
   };
 
-  double base = 1e9, instrumented = 1e9;
-  for (int rep = 0; rep < kReps; ++rep) {
-    base = std::min(base, timed_run(false));
-    instrumented = std::min(instrumented, timed_run(true));
+  timed_run(false);  // warm-up, both variants
+  timed_run(true);
+  std::vector<double> ratios;
+  double base_total = 0.0, instrumented_total = 0.0;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    double base = 0.0, instrumented = 0.0;
+    if (pair % 2 == 0) {
+      base = timed_run(false);
+      instrumented = timed_run(true);
+    } else {
+      instrumented = timed_run(true);
+      base = timed_run(false);
+    }
+    base_total += base;
+    instrumented_total += instrumented;
+    ratios.push_back(instrumented / base);
   }
-  const double ratio = instrumented / base;
-  std::printf("telemetry overhead: %.3fs -> %.3fs (%+.1f%%)\n", base,
-              instrumented, (ratio - 1.0) * 100.0);
+  std::sort(ratios.begin(), ratios.end());
+  const double ratio = ratios[ratios.size() / 2];
+  std::printf("telemetry overhead: %.3fs -> %.3fs over %d pairs, median "
+              "pair ratio %+.1f%% (range %+.1f%% .. %+.1f%%)\n",
+              base_total, instrumented_total, kPairs, (ratio - 1.0) * 100.0,
+              (ratios.front() - 1.0) * 100.0, (ratios.back() - 1.0) * 100.0);
   EXPECT_LT(ratio, 1.25);
 }
 

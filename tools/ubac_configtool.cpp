@@ -124,12 +124,8 @@ int cmd_bounds(const util::ArgParser& args) {
 int cmd_maximize(const util::ArgParser& args) {
   const auto topo = load_topology(args);
   const net::ServerGraph graph(topo);
-  config::Configurator configurator(graph, bucket_from(args),
-                                    deadline_from(args));
-  // 0 = hardware_concurrency; candidate scoring is identical at any count.
-  util::ThreadPool pool(
-      static_cast<std::size_t>(args.get_long("threads", 0)));
-  configurator.set_thread_pool(&pool);
+  const config::Configurator configurator(graph, bucket_from(args),
+                                          deadline_from(args));
   const auto demands = traffic::all_ordered_pairs(topo);
   routing::HeuristicOptions heuristic;
   heuristic.candidates_per_pair =
@@ -791,10 +787,7 @@ int cmd_reroute(const util::ArgParser& args) {
     dead.push_back(graph.server_for_link(*ba));
   if (dead.empty()) throw std::runtime_error("no such link");
 
-  config::Configurator configurator(graph, cfg.bucket, cfg.deadline);
-  util::ThreadPool pool(
-      static_cast<std::size_t>(args.get_long("threads", 0)));
-  configurator.set_thread_pool(&pool);
+  const config::Configurator configurator(graph, cfg.bucket, cfg.deadline);
   const auto healed = configurator.reroute_avoiding(cfg, dead);
   if (!healed.success) {
     std::fprintf(stderr, "reroute failed: %s\n",
@@ -821,10 +814,7 @@ int main(int argc, char** argv) {
       .describe("out", "file to write the resulting configuration to")
       .describe("fail", "duplex link to fail, as NodeA:NodeB")
       .describe("alpha", "class share (metricsdump default 0.32, audit 0.30)")
-      .describe("threads",
-                "worker threads: candidate scoring for maximize/reroute "
-                "(default 0 = hardware), churn threads for metricsdump "
-                "(default 4)")
+      .describe("threads", "metricsdump: churn threads (default 4)")
       .describe("ops", "metricsdump: ops per thread (default 100000)")
       .describe("sampling", "metricsdump: trace sampling in [0,1] (default 1)")
       .describe("format", "metricsdump: prom|json|csv|all (default prom)")
@@ -894,8 +884,10 @@ int main(int argc, char** argv) {
                 "serve: <fraction>,<factor> — hash-selected fraction of "
                 "flows offer factor x their declared rate (implies "
                 "--conformance)");
-  try {
-    args.validate();
+  const std::string program =
+      "ubac_configtool "
+      "<bounds|maximize|verify|reroute|metricsdump|audit|serve>";
+  return util::run_main(args, program, [&] {
     const auto& pos = args.positional();
     const std::string command = pos.empty() ? "help" : pos[0];
 
@@ -929,10 +921,7 @@ int main(int argc, char** argv) {
       rc = cmd_serve(args);
     } else {
       dispatched = false;
-      std::printf("usage: ubac_configtool "
-                  "<bounds|maximize|verify|reroute|metricsdump|audit|serve> "
-                  "[options]\n\n%s",
-                  args.usage("ubac_configtool").c_str());
+      std::fputs(args.usage(program).c_str(), stdout);
       rc = command == "help" ? 0 : 2;
     }
 
@@ -944,12 +933,5 @@ int main(int argc, char** argv) {
                   trace_out.c_str());
     }
     return rc;
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "error: %s\n\n%s", e.what(),
-                 args.usage("ubac_configtool").c_str());
-    return 2;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
+  });
 }
