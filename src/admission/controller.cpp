@@ -270,15 +270,24 @@ void ConcurrentAdmissionController::record_request_telemetry(
   ev.dst = dst;
   ev.blocking_hop = static_cast<std::uint32_t>(decision.blocking_hop);
   ev.reason = decision.admitted() ? "" : to_string(decision.outcome);
-  // Per-hop utilization at decision time: the worst hop along the route
-  // (reads the same atomics the decision used; only paid on sampled
-  // events).
+  // Per-hop utilization at decision time: the worst hop along the route,
+  // read from the route's ledger slots with the live share loaded once
+  // (only paid on sampled events). Same expression as class_utilization().
   std::uint32_t cell = 0;
   AdmissionDecision lookup;
   if (route_for(src, dst, class_index, cell, lookup)) {
+    const double share =
+        live_share_[class_index].load(std::memory_order_relaxed);
+    const RouteRef& route = route_index_[cell];
     double worst = 0.0;
-    for (const net::ServerId s : *route_index_[cell].path)
-      worst = std::max(worst, class_utilization(s, class_index));
+    for (std::uint32_t hop = 0; share > 0.0 && hop < route.len; ++hop) {
+      const BitsPerSecond limit =
+          share * graph_->server((*route.path)[hop]).capacity;
+      worst = std::max(worst, traffic::bps_from_units(
+                                  slots_[route.slots[hop]].reserved.load(
+                                      std::memory_order_relaxed)) /
+                                  limit);
+    }
     ev.utilization = worst;
   }
   t->tracer->record(ev);

@@ -1,5 +1,6 @@
 #include "net/topology_io.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <set>
 #include <sstream>
@@ -56,30 +57,40 @@ Topology from_text(const std::string& text) {
     std::istringstream ls(line);
     std::string kind;
     if (!(ls >> kind)) continue;  // blank line
-    if (kind == "topology") {
-      std::string name;
-      if (!(ls >> name)) fail("topology needs a name");
-      if (named) fail("duplicate topology line");
-      topo = Topology(name);
-      named = true;
-    } else if (kind == "node") {
-      std::string name;
-      if (!(ls >> name)) fail("node needs a name");
-      topo.add_node(name);
-    } else if (kind == "link" || kind == "simplex") {
-      std::string a, b;
-      double cap = 0.0;
-      if (!(ls >> a >> b >> cap)) fail(kind + " needs: <a> <b> <capacity>");
-      if (cap <= 0.0) fail("capacity must be positive");
-      const NodeId na = node_or_fail(a);
-      const NodeId nb = node_or_fail(b);
-      if (kind == "link")
-        topo.add_duplex_link(na, nb, cap);
-      else
-        topo.add_simplex_link(na, nb, cap);
-    } else {
-      fail("unknown directive '" + kind + "'");
+    // Topology's own checks (duplicate node or link, self-loop) throw
+    // invalid_argument; report them as parse errors with the line.
+    try {
+      if (kind == "topology") {
+        std::string name;
+        if (!(ls >> name)) fail("topology needs a name");
+        if (named) fail("duplicate topology line");
+        if (topo.node_count() != 0) fail("topology line after node lines");
+        topo = Topology(name);
+        named = true;
+      } else if (kind == "node") {
+        std::string name;
+        if (!(ls >> name)) fail("node needs a name");
+        topo.add_node(name);
+      } else if (kind == "link" || kind == "simplex") {
+        std::string a, b;
+        double cap = 0.0;
+        if (!(ls >> a >> b >> cap)) fail(kind + " needs: <a> <b> <capacity>");
+        if (!(cap > 0.0) || !std::isfinite(cap))
+          fail("capacity must be positive and finite");
+        const NodeId na = node_or_fail(a);
+        const NodeId nb = node_or_fail(b);
+        if (kind == "link")
+          topo.add_duplex_link(na, nb, cap);
+        else
+          topo.add_simplex_link(na, nb, cap);
+      } else {
+        fail("unknown directive '" + kind + "'");
+      }
+    } catch (const std::invalid_argument& e) {
+      fail(e.what());
     }
+    std::string extra;
+    if (ls >> extra) fail("unexpected trailing token '" + extra + "'");
   }
   return topo;
 }

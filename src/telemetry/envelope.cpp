@@ -67,88 +67,109 @@ ArrivalRecorder::ArrivalRecorder(Options options)
                Unmap{capacity_ * sizeof(Payload)}) {}
 
 std::size_t ArrivalRecorder::flow_count() const noexcept {
-  // Released first: every counted release follows its claim, so the
-  // difference cannot go negative at quiescence; clamp it mid-churn.
-  const std::uint64_t released = released_.value();
-  const std::uint64_t claimed = claimed_.value();
-  return claimed > released ? static_cast<std::size_t>(claimed - released)
-                            : 0;
+  std::size_t live = 0;
+  for (std::size_t i = 0; i < capacity_; ++i)
+    live += keys_[i].load(std::memory_order_relaxed) != 0;
+  return live;
 }
 
-std::size_t ArrivalRecorder::find(traffic::FlowId flow_id) const noexcept {
-  const std::uint64_t key = flow_id + 1;
+std::size_t ArrivalRecorder::find(traffic::FlowId flow_id,
+                                  std::uint64_t& key) const noexcept {
+  if (flow_id >= kIdMask) return kNoSlot;  // never fits a key
+  const std::uint64_t id_bits = flow_id + 1;
   const std::size_t home = static_cast<std::size_t>(mix(flow_id)) & mask_;
   for (std::size_t i = 0; i < kProbeWindow; ++i) {
     const std::size_t slot = (home + i) & mask_;
-    if (keys_[slot].load(std::memory_order_acquire) == key) return slot;
+    key = keys_[slot].load(std::memory_order_acquire);
+    if ((key & kIdMask) == id_bits) return slot;
   }
   return kNoSlot;
 }
 
-void ArrivalRecorder::scrub(std::size_t slot) noexcept {
-  // Records for the new id can only start after on_admit returns (the
-  // caller learns the id from the admit), so no writer of this occupant
-  // races the scrub. The mask is cleared first: a collect() that loads
-  // it afterwards skips every bucket still being zeroed.
+bool ArrivalRecorder::own_payload(std::size_t slot,
+                                  std::uint64_t key) noexcept {
   Meta& meta = meta_[slot];
-  std::uint64_t dirty = meta.dirty.load(std::memory_order_relaxed);
-  const bool scalars = meta.scalars.load(std::memory_order_relaxed) != 0;
-  if (dirty == 0 && !scalars) return;  // payload never written: untouched
-  meta.dirty.store(0, std::memory_order_release);
-  meta.scalars.store(0, std::memory_order_release);
-  Payload& payload = payload_.get()[slot];
-  at(payload.registered_ns).store(0, std::memory_order_relaxed);
-  at(payload.total_units).store(0, std::memory_order_relaxed);
-  Bucket* buckets = &payload.buckets[0][0];
-  for (; dirty != 0; dirty &= dirty - 1) {
-    Bucket& bucket = buckets[std::countr_zero(dirty)];
-    at(bucket.epoch).store(0, std::memory_order_relaxed);
-    at(bucket.units).store(0, std::memory_order_relaxed);
+  std::uint64_t owner = meta.owner.load(std::memory_order_acquire);
+  while (owner != key) {
+    if (owner == kScrubbing) {  // a concurrent first record() scrubs
+      owner = meta.owner.load(std::memory_order_acquire);
+      continue;
+    }
+    if (!meta.owner.compare_exchange_weak(owner, kScrubbing,
+                                          std::memory_order_acq_rel,
+                                          std::memory_order_acquire))
+      continue;
+    if (keys_[slot].load(std::memory_order_acquire) != key) {
+      // Released (and maybe reclaimed) since find(): not ours to scrub.
+      meta.owner.store(owner, std::memory_order_release);
+      return false;
+    }
+    // collect() reads the payload only once the tag names this key, so
+    // it never sees the scrub half done. Payload writes are release and
+    // collect()'s reads acquire, so a reader that sees any write of this
+    // occupant also sees its key, and drops a slot read across a reuse.
+    std::uint64_t dirty = meta.dirty.exchange(0, std::memory_order_relaxed);
+    Payload& payload = payload_.get()[slot];
+    at(payload.registered_ns).store(0, std::memory_order_release);
+    at(payload.total_units).store(0, std::memory_order_release);
+    Bucket* buckets = &payload.buckets[0][0];
+    for (; dirty != 0; dirty &= dirty - 1) {
+      Bucket& bucket = buckets[std::countr_zero(dirty)];
+      at(bucket.epoch).store(0, std::memory_order_release);
+      at(bucket.units).store(0, std::memory_order_release);
+    }
+    meta.owner.store(key, std::memory_order_release);
+    return true;
   }
+  return true;
 }
 
 void ArrivalRecorder::on_admit(traffic::FlowId flow_id,
                                std::uint32_t class_index) noexcept {
-  const std::uint64_t key = flow_id + 1;
-  const std::size_t home = static_cast<std::size_t>(mix(flow_id)) & mask_;
+  if (flow_id >= kIdMask || class_index > kMaxClass) {
+    dropped_registrations_.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
   // Full existence scan before claiming: a freed slot earlier in the
   // probe path must not shadow a still-live registration further along
   // (re-admit stays a no-op even after neighbour churn).
-  if (find(flow_id) != kNoSlot) return;
+  std::uint64_t existing = 0;
+  if (find(flow_id, existing) != kNoSlot) return;
+  const std::uint64_t key =
+      std::uint64_t{class_index} << kClassShift | (flow_id + 1);
+  const std::size_t home = static_cast<std::size_t>(mix(flow_id)) & mask_;
   for (std::size_t i = 0; i < kProbeWindow; ++i) {
     const std::size_t slot = (home + i) & mask_;
     std::uint64_t expected = keys_[slot].load(std::memory_order_acquire);
-    if (expected == key) return;  // already registered
     if (expected != 0) continue;
     if (keys_[slot].compare_exchange_strong(expected, key,
-                                            std::memory_order_acq_rel)) {
-      meta_[slot].class_index.store(class_index, std::memory_order_relaxed);
-      scrub(slot);
-      claimed_.add();
+                                            std::memory_order_acq_rel))
       return;
-    }
-    if (expected == key) return;  // lost the race to ourselves
+    if ((expected & kIdMask) == flow_id + 1) return;  // raced ourselves
   }
   dropped_registrations_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ArrivalRecorder::on_release(traffic::FlowId flow_id) noexcept {
-  const std::size_t slot = find(flow_id);
+  std::uint64_t key = 0;
+  const std::size_t slot = find(flow_id, key);
   if (slot == kNoSlot) return;
-  std::uint64_t expected = flow_id + 1;
-  if (keys_[slot].compare_exchange_strong(expected, 0,
-                                          std::memory_order_acq_rel))
-    released_.add();
+  keys_[slot].compare_exchange_strong(key, 0, std::memory_order_acq_rel);
 }
 
 void ArrivalRecorder::record(traffic::FlowId flow_id, double bits,
                              std::int64_t t_ns) noexcept {
-  const std::size_t slot = find(flow_id);
+  std::uint64_t key = 0;
+  const std::size_t slot = find(flow_id, key);
   if (slot == kNoSlot) {
     dropped_records_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   if (!(bits > 0.0)) return;
+  if (!own_payload(slot, key)) {
+    dropped_records_.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
   // Round DOWN to the 2^-10 grid: Ê never overcounts true arrivals.
   const std::uint64_t units =
       static_cast<std::uint64_t>(bits * kUnitsPerBit);
@@ -157,10 +178,8 @@ void ArrivalRecorder::record(traffic::FlowId flow_id, double bits,
   std::int64_t reg = at(payload.registered_ns).load(std::memory_order_relaxed);
   if (reg == 0)  // first arrival stamps the observation epoch
     at(payload.registered_ns)
-        .compare_exchange_strong(reg, t_ns, std::memory_order_relaxed);
-  at(payload.total_units).fetch_add(units, std::memory_order_relaxed);
-  if (meta.scalars.load(std::memory_order_relaxed) == 0)
-    meta.scalars.store(1, std::memory_order_release);
+        .compare_exchange_strong(reg, t_ns, std::memory_order_release);
+  at(payload.total_units).fetch_add(units, std::memory_order_release);
   const std::uint64_t dirty = meta.dirty.load(std::memory_order_relaxed);
   std::uint64_t touched = 0;
   for (std::size_t s = 0; s < kScales; ++s) {
@@ -177,12 +196,12 @@ void ArrivalRecorder::record(traffic::FlowId flow_id, double bits,
                                                std::memory_order_acq_rel)) {
         // A concurrent add between this CAS and the zeroing is lost:
         // undercount, the conservative direction.
-        at(bucket.units).store(0, std::memory_order_relaxed);
+        at(bucket.units).store(0, std::memory_order_release);
       } else if (seen != epoch) {
         continue;  // someone advanced the bucket past us
       }
     }
-    at(bucket.units).fetch_add(units, std::memory_order_relaxed);
+    at(bucket.units).fetch_add(units, std::memory_order_release);
     touched |= std::uint64_t{1} << (s * kBucketsPerScale + b);
   }
   // Publish the bits after the bucket writes: a collect() that has not
@@ -198,19 +217,18 @@ void ArrivalRecorder::collect(std::int64_t now_ns,
     if (key == 0) continue;
     const Meta& meta = meta_[i];
     FlowWindows fw;
-    fw.flow_id = key - 1;
-    fw.class_index = meta.class_index.load(std::memory_order_relaxed);
-    const std::uint64_t dirty = meta.dirty.load(std::memory_order_acquire);
-    const bool scalars = meta.scalars.load(std::memory_order_acquire) != 0;
-    if (dirty != 0 || scalars) {
+    fw.flow_id = (key & kIdMask) - 1;
+    fw.class_index = static_cast<std::uint32_t>(key >> kClassShift);
+    // Until its first record() has scrubbed and tagged the payload, the
+    // occupant has zero windows.
+    if (meta.owner.load(std::memory_order_acquire) == key) {
+      const std::uint64_t dirty = meta.dirty.load(std::memory_order_acquire);
       Payload& payload = payload_.get()[i];
-      if (scalars) {
-        fw.registered_ns =
-            at(payload.registered_ns).load(std::memory_order_relaxed);
-        fw.total_bits = static_cast<double>(at(payload.total_units).load(
-                            std::memory_order_relaxed)) /
-                        kUnitsPerBit;
-      }
+      fw.registered_ns =
+          at(payload.registered_ns).load(std::memory_order_acquire);
+      fw.total_bits = static_cast<double>(at(payload.total_units).load(
+                          std::memory_order_acquire)) /
+                      kUnitsPerBit;
       for (std::size_t s = 0; s < kScales; ++s) {
         const std::int64_t width =
             kWindowNs[s] / static_cast<std::int64_t>(kBucketsPerScale);
@@ -224,13 +242,13 @@ void ArrivalRecorder::collect(std::int64_t now_ns,
           const std::int64_t epoch =
               at(bucket.epoch).load(std::memory_order_acquire);
           if (epoch >= oldest && epoch <= newest)
-            sum += at(bucket.units).load(std::memory_order_relaxed);
+            sum += at(bucket.units).load(std::memory_order_acquire);
         }
         fw.window_bits[s] = static_cast<double>(sum) / kUnitsPerBit;
       }
     }
-    // A slot released (or recycled) mid-read carries another flow's
-    // partial data: drop it, the next collect() sees a settled view.
+    // A slot released (or recycled) mid-read may carry another flow's
+    // data: drop it, the next collect() sees a settled view.
     if (keys_[i].load(std::memory_order_acquire) != key) continue;
     out.push_back(fw);
   }

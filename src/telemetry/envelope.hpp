@@ -30,18 +30,31 @@
 /// linear probe, no allocation, no locks); a full probe window counts a
 /// dropped registration rather than blocking the admit path.
 ///
-/// The table is split by who writes it. Admit and release touch only
-/// dense arrays: the keys (8 B a slot, so a 16-slot probe window reads
-/// 128 contiguous bytes) and the meta words (16 B a slot: class, a 64-bit
-/// dirty mask with one bit per [scale][bucket], and a "scalars written"
-/// flag). The 1 KiB window payload is written only by record(), which
-/// sets a bucket's dirty bit once the bucket holds data of the current
-/// occupant; a claim scrubs only the dirty buckets, and collect() sums
-/// only dirty buckets, so a bit published late can only undercount. The
-/// payload is mapped zero-filled, so a slot nothing was ever recorded
-/// into never becomes resident: 24 resident bytes a slot when only
-/// admission feeds the recorder. The live count is a pair of striped
-/// claimed/released counters, exact at quiescence.
+/// The table is split by who writes it. Admit and release touch only the
+/// key array, 8 B a slot: the flow id + 1 in the low 56 bits and the class
+/// in the top byte, so a 16-slot probe window reads 128 contiguous bytes
+/// and a claim or a release is one CAS there. An id of 2^56 - 1 or more,
+/// or a class above 255, does not fit a key and counts as a dropped
+/// registration. The 1 KiB window payload and its meta words (a 64-bit
+/// dirty mask with one bit per [scale][bucket], and an owner tag naming
+/// the key whose data the payload holds) are written only by record().
+/// The first record() of a new occupant finds the tag naming someone
+/// else, scrubs the previous occupant's dirty buckets and scalars, and
+/// only then tags the payload with its own key. collect() reads a payload
+/// only when its tag matches the slot's key, so a slot whose occupant has
+/// not recorded yet reports zero windows, and sums only dirty buckets, so
+/// a bit published late can only undercount. The payload is mapped
+/// zero-filled, so a slot nothing was ever recorded into never becomes
+/// resident. No counter follows claims and releases: flow_count() scans
+/// the keys, so it is exact at quiescence.
+///
+/// The tag is the key, so it tells occupants apart only when ids do not
+/// repeat: an id re-admitted into the slot it was released from resumes
+/// its old windows. Admission controller ids never repeat, and a
+/// NetworkSim run admits each flow index once. Likewise a flow's records
+/// must happen before its release (PacedLoadDriver and NetworkSim stop
+/// feeding a flow before releasing it): a record racing the release could
+/// land in the next occupant's windows.
 ///
 /// A recorder is clock-domain agnostic but single-domain: feed it either
 /// wall-clock EventTracer::now_ns() stamps (PacedLoadDriver offered
@@ -53,7 +66,6 @@
 #include <memory>
 #include <vector>
 
-#include "telemetry/metrics.hpp"
 #include "traffic/flow.hpp"
 
 namespace ubac::telemetry {
@@ -97,9 +109,9 @@ class ArrivalRecorder {
 
   // -- admission-path hooks (lock-free, never block) ---------------------
 
-  /// Claim a slot for a newly admitted flow. Safe to call concurrently
-  /// with record()/collect(); re-admitting an id already registered is a
-  /// no-op.
+  /// Claim a slot for a newly admitted flow: one CAS on the key word.
+  /// Safe to call concurrently with record()/collect(); re-admitting an id
+  /// already registered is a no-op.
   void on_admit(traffic::FlowId flow_id, std::uint32_t class_index) noexcept;
 
   /// Release the flow's slot (no-op for unknown ids, e.g. flows admitted
@@ -129,10 +141,11 @@ class ArrivalRecorder {
   void collect(std::int64_t now_ns, std::vector<FlowWindows>& out) const;
 
   std::size_t capacity() const noexcept { return capacity_; }
-  /// Live registered flows (approximate under churn, exact at
-  /// quiescence).
+  /// Live registered flows, counted by a scan of the keys (approximate
+  /// under churn, exact at quiescence).
   std::size_t flow_count() const noexcept;
-  /// Registrations refused because the probe window was full.
+  /// Registrations refused because the probe window was full or the id
+  /// or class does not fit a key.
   std::uint64_t dropped_registrations() const noexcept {
     return dropped_registrations_.load(std::memory_order_relaxed);
   }
@@ -161,40 +174,48 @@ class ArrivalRecorder {
     Bucket buckets[kScales][kBucketsPerScale];
   };
 
-  /// The per-slot words a claim writes.
+  /// The per-slot words record() writes next to the payload.
   struct Meta {
-    /// Bit s * kBucketsPerScale + b: buckets[s][b] holds this occupant's
-    /// data. Set by record() after the bucket write, cleared by a claim.
+    /// Bit s * kBucketsPerScale + b: buckets[s][b] holds the owner's
+    /// data. Set by record() after the bucket write, cleared by a scrub.
     std::atomic<std::uint64_t> dirty{0};
-    std::atomic<std::uint32_t> class_index{0};
-    /// Nonzero once record() wrote registered_ns / total_units.
-    std::atomic<std::uint32_t> scalars{0};
+    /// Key of the occupant whose data the payload holds; 0 before the
+    /// first record(), kScrubbing while one is scrubbing.
+    std::atomic<std::uint64_t> owner{0};
   };
   static_assert(kScales * kBucketsPerScale == 64,
                 "one dirty bit per bucket must fit a 64-bit mask");
   static_assert(sizeof(Meta) == 16);
+
+  /// Key layout: class in the top byte, flow id + 1 below.
+  static constexpr unsigned kClassShift = 56;
+  static constexpr std::uint64_t kIdMask =
+      (std::uint64_t{1} << kClassShift) - 1;
+  static constexpr std::uint32_t kMaxClass = 0xFF;
+  /// An owner value no key takes (its id bits are zero).
+  static constexpr std::uint64_t kScrubbing = ~kIdMask;
 
   struct Unmap {
     std::size_t bytes = 0;
     void operator()(Payload* p) const noexcept;
   };
 
-  /// Slot index holding `flow_id`, or kNoSlot.
-  std::size_t find(traffic::FlowId flow_id) const noexcept;
-  /// Clear the previous occupant's windows from a freshly claimed slot.
-  void scrub(std::size_t slot) noexcept;
+  /// Slot index holding `flow_id` (its key in `key`), or kNoSlot.
+  std::size_t find(traffic::FlowId flow_id,
+                   std::uint64_t& key) const noexcept;
+  /// Make `key` the owner of `slot`'s payload, scrubbing the previous
+  /// occupant's windows first. False when the slot no longer holds `key`.
+  bool own_payload(std::size_t slot, std::uint64_t key) noexcept;
 
   static std::atomic<ArrivalRecorder*> g_active_;
 
   std::size_t capacity_;  ///< power of two
   std::size_t mask_;
-  /// Flow id + 1 per slot ("key"); 0 = free. Offset by one so flow id 0
-  /// is representable.
+  /// Class << kClassShift | (flow id + 1) per slot ("key"); 0 = free.
+  /// Offset by one so flow id 0 is representable.
   std::unique_ptr<std::atomic<std::uint64_t>[]> keys_;
   std::unique_ptr<Meta[]> meta_;
   std::unique_ptr<Payload, Unmap> payload_;
-  Counter claimed_;
-  Counter released_;
   std::atomic<std::uint64_t> dropped_registrations_{0};
   std::atomic<std::uint64_t> dropped_records_{0};
 };

@@ -6,7 +6,9 @@
 #include <cstdio>
 #include <functional>
 #include <new>
+#include <stdexcept>
 #include <thread>
+#include <tuple>
 
 namespace ubac::telemetry {
 
@@ -76,10 +78,13 @@ const char* to_string(TraceEventKind kind) {
 EventTracer::EventTracer(std::size_t capacity, double sampling)
     : capacity_(round_up_pow2(capacity == 0 ? 1 : capacity)),
       sampling_(sampling),
-      lanes_(std::make_unique<Lane[]>(util::LaneClaims::kLanes)) {}
+      lanes_(std::make_unique<Lane[]>(kLaneCount)) {
+  if (!(sampling >= 0.0 && sampling <= 1.0))
+    throw std::invalid_argument("EventTracer: sampling must be in [0, 1]");
+}
 
 EventTracer::~EventTracer() {
-  for (std::size_t l = 0; l < util::LaneClaims::kLanes; ++l)
+  for (std::size_t l = 0; l < kLaneCount; ++l)
     delete[] lanes_[l].ring.load(std::memory_order_relaxed);
 }
 
@@ -114,43 +119,78 @@ bool EventTracer::should_sample() noexcept {
 }
 
 void EventTracer::record(TraceEvent ev) noexcept {
-  if (ev.timestamp_ns == 0) ev.timestamp_ns = now_ns();
-  Lane& lane = lanes_[claims_.own(t_lane_cache)];
-  // Claim seq and cursor together: on a shared lane a writer preempted
-  // between the two claims would otherwise let the lane's cursor order
-  // drift from seq order, and the lane could then lap an event that is
-  // still among the newest `capacity` seqs.
-  while (lane.claiming.exchange(true, std::memory_order_acquire))
-    while (lane.claiming.load(std::memory_order_relaxed)) {
-    }
-  ev.seq = head_.fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t cursor = lane.cursor++;
+  const std::uint32_t l = claims_.own_exclusive(t_lane_cache);
+  Lane& lane = lanes_[l];
+  const bool shared = l == kOverflowLane;
+  // On the shared overflow lane the stamp and cursor are claimed together:
+  // a writer preempted between the two would otherwise let the lane's
+  // cursor order drift from stamp order, and the lane could then lap an
+  // event that is still among the newest `capacity` stamps. An owned lane
+  // has one writer, which takes its stamps in cursor order by itself.
+  if (shared)
+    while (lane.claiming.exchange(true, std::memory_order_acquire))
+      while (lane.claiming.load(std::memory_order_relaxed)) {
+      }
+  const std::int64_t stamp = now_ns();
+  const std::uint64_t cursor = lane.cursor.load(std::memory_order_relaxed);
+  lane.cursor.store(cursor + 1, std::memory_order_relaxed);
   Slot* ring = lane.ring.load(std::memory_order_relaxed);
   if (ring == nullptr) {
     ring = new (std::nothrow) Slot[capacity_];
     lane.ring.store(ring, std::memory_order_release);
   }
-  lane.claiming.store(false, std::memory_order_release);
+  if (shared) lane.claiming.store(false, std::memory_order_release);
   // Out of memory for a first ring: the event is counted, not retained.
-  if (ring != nullptr) ring[cursor & (capacity_ - 1)].publish(ev.seq, ev);
+  if (ring == nullptr) return;
+  const Record record{stamp, ev.timestamp_ns == 0 ? stamp : ev.timestamp_ns,
+                      ev.flow_id, ev.class_index, ev.src, ev.dst,
+                      ev.blocking_hop, ev.utilization, ev.reason, ev.kind};
+  Slot& slot = ring[cursor & (capacity_ - 1)];
+  if (shared)
+    slot.publish(cursor, record);
+  else
+    slot.store(cursor, record);
+}
+
+std::uint64_t EventTracer::recorded() const noexcept {
+  std::uint64_t total = 0;
+  for (std::size_t l = 0; l < kLaneCount; ++l)
+    total += lanes_[l].cursor.load(std::memory_order_relaxed);
+  return total;
 }
 
 std::vector<TraceEvent> EventTracer::snapshot() const {
-  std::vector<TraceEvent> events;
-  for (std::size_t l = 0; l < util::LaneClaims::kLanes; ++l) {
+  struct Merged {
+    Record record;
+    std::uint32_t lane;
+    std::uint64_t cursor;
+  };
+  std::vector<Merged> merged;
+  for (std::uint32_t l = 0; l < kLaneCount; ++l) {
     const Slot* ring = lanes_[l].ring.load(std::memory_order_acquire);
     if (ring == nullptr) continue;
-    TraceEvent ev;
+    Record record{};
     for (std::size_t i = 0; i < capacity_; ++i)
-      if (ring[i].read(ev)) events.push_back(ev);
+      if (const auto cursor = ring[i].read(record))
+        merged.push_back(Merged{record, l, *cursor});
   }
-  std::sort(events.begin(), events.end(),
-            [](const TraceEvent& a, const TraceEvent& b) {
-              return a.seq < b.seq;
+  // Read after the slots: every published slot's cursor claim is counted.
+  const std::uint64_t total = recorded();
+  std::sort(merged.begin(), merged.end(),
+            [](const Merged& a, const Merged& b) {
+              return std::tie(a.record.stamp_ns, a.lane, a.cursor) <
+                     std::tie(b.record.stamp_ns, b.lane, b.cursor);
             });
-  if (events.size() > capacity_)
-    events.erase(events.begin(),
-                 events.end() - static_cast<std::ptrdiff_t>(capacity_));
+  const std::size_t keep = std::min(merged.size(), capacity_);
+  const std::uint64_t first = total >= keep ? total - keep : 0;
+  std::vector<TraceEvent> events;
+  events.reserve(keep);
+  for (std::size_t i = merged.size() - keep; i < merged.size(); ++i) {
+    const Record& r = merged[i].record;
+    events.push_back(TraceEvent{r.kind, first + events.size(), r.timestamp_ns,
+                                r.flow_id, r.class_index, r.src, r.dst,
+                                r.blocking_hop, r.utilization, r.reason});
+  }
   return events;
 }
 

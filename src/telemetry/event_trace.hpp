@@ -8,23 +8,32 @@
 /// the blocking hop and the observed utilization at decision time, a static
 /// reject-reason string, and a nanosecond timestamp.
 ///
-/// Each writer thread records into its own lane (util::LaneClaims, the
-/// claim the admission controller's registry lanes use): a power-of-two
+/// Writer threads record into lanes (util::LaneClaims, the claim the
+/// admission controller's registry lanes use): a lane is a power-of-two
 /// ring of `capacity` seqlock slots (seqlock.hpp) with a lane-local
-/// cursor, allocated when the lane's first event is recorded. The one
-/// shared write is the global `seq` claim, a fetch_add on a counter alone
-/// on its own 128-byte line; seq is record order across all lanes (events
-/// from other clock domains — simulator, alerts, actuator — are ordered
-/// by it, never by timestamp), and recorded() is exact. A thread past the
-/// 16th shares a lane; the lane's claim lock keeps cursor order equal to
-/// seq order there, and is uncontended on a lane with one writer.
+/// cursor, allocated when the lane's first event is recorded. The first
+/// 16 writer threads each own a lane: record() takes a wall-clock record
+/// stamp (now_ns()), bumps the cursor and publishes the slot with plain
+/// and release stores (SeqlockSlot::store), so a traced decision writes
+/// no word another thread writes and runs no read-modify-write. Every
+/// later thread writes one extra overflow lane, never an owned one; there
+/// the stamp and cursor are claimed together under the lane's claim lock
+/// and slots are published by CAS (SeqlockSlot::publish), as a lane with
+/// several writers needs. On every lane cursor order is stamp order.
+/// recorded() sums the lane cursors and is exact at quiescence.
 ///
-/// snapshot() merges the lanes, sorts by seq and keeps the newest
-/// `capacity`. Each lane retains its own last `capacity` events, so at
-/// sampling = 1.0 and quiescence the snapshot is exactly the last
-/// `capacity` recorded events; taken while writers are active it is
-/// best-effort (slots mid-write are skipped). Memory is used lanes x
-/// capacity slots.
+/// Record order across lanes is (record stamp, lane, cursor). The
+/// caller's `timestamp_ns` never decides it: events from other clock
+/// domains (simulator, alerts, actuator) are ordered by when they were
+/// recorded. snapshot() merges the lanes in that order, keeps the newest
+/// `capacity` and numbers them recorded() - n + i. Each lane retains its
+/// own last `capacity` events, so at sampling = 1.0 and quiescence the
+/// snapshot is exactly the last `capacity` recorded events with dense
+/// seqs ending at recorded() - 1; taken while writers are active it is
+/// best-effort (slots mid-write are skipped, so the seqs only approximate
+/// the events' positions). A seq names a position in one snapshot, not an
+/// event across snapshots. Memory is used lanes x capacity slots of 72
+/// bytes; the overflow lane's ring, like any, exists only once written.
 ///
 /// Sampling < 1.0 keeps a uniform random subset via geometric skipping:
 /// the gap to the next sampled event is drawn once per hit, so a
@@ -68,7 +77,7 @@ const char* to_string(TraceEventKind kind);
 
 struct TraceEvent {
   TraceEventKind kind = TraceEventKind::kAdmit;
-  std::uint64_t seq = 0;       ///< filled by EventTracer::record
+  std::uint64_t seq = 0;  ///< position in EventTracer::snapshot()
   std::int64_t timestamp_ns = 0;
   std::uint64_t flow_id = 0;
   std::uint32_t class_index = 0;
@@ -84,7 +93,8 @@ struct TraceEvent {
 
 class EventTracer {
  public:
-  /// `capacity` is rounded up to a power of two; `sampling` in [0, 1].
+  /// `capacity` is rounded up to a power of two. Throws
+  /// std::invalid_argument when `sampling` is outside [0, 1].
   explicit EventTracer(std::size_t capacity, double sampling = 1.0);
   ~EventTracer();
 
@@ -96,23 +106,22 @@ class EventTracer {
   /// on this so sampled-out decisions pay only the thread-local decrement.
   bool should_sample() noexcept;
 
-  /// Stores `ev` in the calling thread's lane (seq and, when 0,
-  /// timestamp_ns are filled in). The only waits are a shared lane's
-  /// claim lock and a writer lapped by a full lane rotation briefly
-  /// waiting out (or yielding to) the colliding writer.
+  /// Stores `ev` in the calling thread's lane, stamped with now_ns()
+  /// (which also fills a timestamp_ns of 0; `seq` is ignored). Waits only
+  /// on the overflow lane: for its claim lock, or, lapped by a full lane
+  /// rotation, for the colliding writer.
   void record(TraceEvent ev) noexcept;
 
   std::size_t capacity() const noexcept { return capacity_; }
-  /// Events recorded (post-sampling), total; exact.
-  std::uint64_t recorded() const noexcept {
-    return head_.load(std::memory_order_acquire);
-  }
+  /// Events recorded (post-sampling), summed over the lanes; exact at
+  /// quiescence.
+  std::uint64_t recorded() const noexcept;
   /// Events skipped by sampling.
   std::uint64_t sampled_out() const noexcept {
     return sampled_out_.value();
   }
 
-  /// The retained (most recent) events, oldest first.
+  /// The retained (most recent) events in record order, oldest first.
   std::vector<TraceEvent> snapshot() const;
 
   std::string to_json() const;
@@ -121,23 +130,41 @@ class EventTracer {
   static std::int64_t now_ns() noexcept;
 
  private:
-  using Slot = SeqlockSlot<TraceEvent>;
+  /// A slot's payload: the event without its seq, plus the record stamp
+  /// that orders it across lanes.
+  struct Record {
+    std::int64_t stamp_ns;
+    std::int64_t timestamp_ns;
+    std::uint64_t flow_id;
+    std::uint32_t class_index;
+    std::uint32_t src;
+    std::uint32_t dst;
+    std::uint32_t blocking_hop;
+    double utilization;
+    const char* reason;
+    TraceEventKind kind;
+  };
+  using Slot = SeqlockSlot<Record>;
+  static_assert(sizeof(Slot) == 72);
 
   /// One writer thread's ring. 128-byte aligned so neither a neighbouring
   /// lane nor the adjacent-line prefetcher pulls another core's cursor.
   struct alignas(128) Lane {
-    /// Held across the seq and cursor claims, so cursor order is seq order
-    /// even on a shared lane.
+    /// Overflow lane only: held across the stamp and cursor claims, so
+    /// cursor order is stamp order with several writers.
     std::atomic<bool> claiming{false};
-    std::uint64_t cursor = 0;  ///< events claimed; guarded by `claiming`
+    /// Events claimed; stored by the lane's writer, summed by recorded().
+    std::atomic<std::uint64_t> cursor{0};
     /// capacity_ slots, allocated by the lane's first record().
     std::atomic<Slot*> ring{nullptr};
   };
 
-  /// The global seq claim, alone on its line: the only tracer word every
-  /// writer writes.
-  alignas(128) std::atomic<std::uint64_t> head_{0};
-  alignas(128) std::size_t capacity_;
+  /// Lanes 0..kLanes-1 each have one owner thread; threads past the
+  /// kLanes-th share the overflow lane.
+  static constexpr std::uint32_t kOverflowLane = util::LaneClaims::kLanes;
+  static constexpr std::size_t kLaneCount = kOverflowLane + 1;
+
+  std::size_t capacity_;
   double sampling_;
   std::unique_ptr<Lane[]> lanes_;
   util::LaneClaims claims_;

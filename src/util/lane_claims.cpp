@@ -31,9 +31,10 @@ std::uint32_t LaneClaims::claim(Cache& cache) noexcept {
                           owner, token, std::memory_order_relaxed))
       break;
   }
+  const bool exclusive = lane < kLanes;
   // Every lane taken: share one.
-  if (lane == kLanes) lane = static_cast<std::uint32_t>(token % kLanes);
-  cache = Cache{uid_, lane};
+  if (!exclusive) lane = static_cast<std::uint32_t>(token % kLanes);
+  cache = Cache{uid_, lane, exclusive};
   return lane;
 }
 

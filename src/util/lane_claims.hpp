@@ -6,10 +6,15 @@
 /// A structure that wants its per-decision writes off shared cache lines
 /// splits its writable state into kLanes lanes and lets each writer
 /// thread claim one the first time it writes: first come, first served,
-/// per owner. Claimed lanes form a prefix and are never given back. Once
-/// every lane is claimed, later threads hash onto shared lanes, so the
-/// owner must keep a lane correct under several writers (a lock, or
-/// atomics); only the core locality is lost.
+/// per owner. Claimed lanes form a prefix and are never given back, so a
+/// thread that claimed a lane is its only writer for the owner's
+/// lifetime: the claim is exclusive. Once every lane is claimed, later
+/// threads get a shared claim. own() hashes them onto the claimed lanes,
+/// so an owner that uses it keeps every lane correct under several
+/// writers (a lock, or atomics); only the core locality is lost.
+/// own_exclusive() sends them all to one extra lane, index kLanes, so an
+/// owner that keeps that overflow lane can write lanes 0..kLanes-1 with
+/// plain single-writer stores and pay for sharing only on the overflow.
 ///
 /// The calling thread's lane is cached in a one-entry thread-local Cache
 /// that the owner type supplies, so a thread that writes two owner types
@@ -32,6 +37,7 @@ class LaneClaims {
   struct Cache {
     std::uint64_t owner = 0;  ///< uid of the owner, 0 = none
     std::uint32_t lane = 0;
+    bool exclusive = false;  ///< the thread claimed `lane` for itself
   };
 
   LaneClaims();
@@ -41,6 +47,13 @@ class LaneClaims {
   /// The calling thread's lane, claimed on first use.
   std::uint32_t own(Cache& cache) noexcept {
     return cache.owner == uid_ ? cache.lane : claim(cache);
+  }
+
+  /// The lane the calling thread claimed for itself, or kLanes (the
+  /// overflow lane) when every lane was already taken.
+  std::uint32_t own_exclusive(Cache& cache) noexcept {
+    const std::uint32_t lane = own(cache);
+    return cache.exclusive ? lane : static_cast<std::uint32_t>(kLanes);
   }
 
  private:

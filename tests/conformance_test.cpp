@@ -230,6 +230,172 @@ TEST(Envelope, FlowCountIsExactAfterConcurrentChurn) {
 }
 
 // ---------------------------------------------------------------------------
+// ArrivalRecorder: key-only claims
+// ---------------------------------------------------------------------------
+
+// A key holds the class in its top byte and id + 1 below: an id or a
+// class that does not fit is a counted drop, not a registration.
+TEST(EnvelopeClaims, IdOrClassPastTheKeyIsDropped) {
+  constexpr traffic::FlowId kTooLarge = (traffic::FlowId{1} << 56) - 1;
+  ArrivalRecorder recorder;
+  recorder.on_admit(kTooLarge, 0);
+  EXPECT_EQ(recorder.dropped_registrations(), 1u);
+  recorder.on_admit(5, 256);
+  EXPECT_EQ(recorder.dropped_registrations(), 2u);
+  EXPECT_EQ(recorder.flow_count(), 0u);
+  std::vector<ArrivalRecorder::FlowWindows> out;
+  recorder.collect(kNsPerSec, out);
+  EXPECT_TRUE(out.empty());
+  recorder.record(kTooLarge, 640.0, kNsPerSec);
+  EXPECT_EQ(recorder.dropped_records(), 1u);
+
+  // The largest id and class that fit register normally.
+  recorder.on_admit(kTooLarge - 1, 255);
+  EXPECT_EQ(recorder.dropped_registrations(), 2u);
+  recorder.collect(kNsPerSec, out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].flow_id, kTooLarge - 1);
+  EXPECT_EQ(out[0].class_index, 255u);
+}
+
+// Ids shaped like the admission controller's (lane << 48 | sequence, up
+// to lane 15) round-trip their id and class through collect(), recorded
+// into or not.
+TEST(EnvelopeClaims, ControllerIdsRoundTripThroughCollect) {
+  struct Case {
+    traffic::FlowId id;
+    std::uint32_t class_index;
+  };
+  const std::vector<Case> cases = {
+      {(traffic::FlowId{15} << 48) | ((traffic::FlowId{1} << 48) - 1), 1},
+      {(traffic::FlowId{15} << 48) | 1, 0},
+      {(traffic::FlowId{7} << 48) | 123'456'789, 3},
+      {1, 200},
+      {0, 255}};
+  ArrivalRecorder recorder;
+  for (const Case& c : cases) recorder.on_admit(c.id, c.class_index);
+  for (std::size_t i = 0; i < cases.size(); i += 2)
+    recorder.record(cases[i].id, 64.0 * static_cast<double>(i + 1),
+                    kNsPerSec);
+  EXPECT_EQ(recorder.dropped_registrations(), 0u);
+  EXPECT_EQ(recorder.flow_count(), cases.size());
+
+  std::vector<ArrivalRecorder::FlowWindows> out;
+  recorder.collect(kNsPerSec, out);
+  ASSERT_EQ(out.size(), cases.size());
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const auto it = std::find_if(out.begin(), out.end(), [&](const auto& fw) {
+      return fw.flow_id == cases[i].id;
+    });
+    ASSERT_NE(it, out.end()) << cases[i].id;
+    EXPECT_EQ(it->class_index, cases[i].class_index);
+    EXPECT_EQ(it->total_bits, i % 2 == 0 ? 64.0 * (i + 1) : 0.0);
+  }
+  for (const Case& c : cases) recorder.on_release(c.id);
+  EXPECT_EQ(recorder.flow_count(), 0u);
+}
+
+// The claim writes only the key, so the previous occupant's windows stay
+// in the payload until the new occupant records. collect() must not
+// attribute them to the new flow in the meantime, at any window position.
+TEST(EnvelopeClaims, ReclaimedSlotWithoutRecordsReportsZeroWindows) {
+  ArrivalRecorder::Options options;
+  options.capacity = 2;
+  ArrivalRecorder recorder(options);
+  recorder.on_admit(1, 0);
+  recorder.on_admit(2, 0);
+  std::int64_t t = kNsPerSec;
+  for (int i = 0; i < 4000; ++i) recorder.record(1, 640.0, t += 5'000'000);
+  recorder.on_release(1);
+  recorder.on_admit(3, 1);  // the only free slot is flow 1's
+  recorder.record(3, 0.0, t);  // nothing lands: still no windows
+
+  for (const std::int64_t now : {t, t + kNsPerSec, t + 20 * kNsPerSec}) {
+    std::vector<ArrivalRecorder::FlowWindows> out;
+    recorder.collect(now, out);
+    ASSERT_EQ(out.size(), 2u);
+    for (const auto& fw : out) {
+      EXPECT_NE(fw.flow_id, 1u);
+      EXPECT_EQ(fw.registered_ns, 0);
+      EXPECT_EQ(fw.total_bits, 0.0);
+      for (double bits : fw.window_bits) EXPECT_EQ(bits, 0.0);
+    }
+  }
+
+  // Its first record scrubs the old windows: only its own bits show.
+  recorder.record(3, 64.0, t + kNsPerSec);
+  std::vector<ArrivalRecorder::FlowWindows> out;
+  recorder.collect(t + kNsPerSec, out);
+  const auto it = std::find_if(out.begin(), out.end(),
+                               [](const auto& fw) { return fw.flow_id == 3; });
+  ASSERT_NE(it, out.end());
+  EXPECT_EQ(it->class_index, 1u);
+  EXPECT_EQ(it->registered_ns, t + kNsPerSec);
+  EXPECT_EQ(it->total_bits, 64.0);
+  for (double bits : it->window_bits) EXPECT_EQ(bits, 64.0);
+}
+
+// Writers cycle flows through a 16-slot table (admit, a few records,
+// release), so slots are reclaimed constantly, while a collector reads.
+// Each flow records a signature only it uses — bits that are a multiple
+// of id + 1, at times that start at its own first-record time — so any
+// previous occupant's data showing under a key would break a check.
+TEST(EnvelopeClaims, ConcurrentReuseNeverSurfacesAPreviousOccupant) {
+  constexpr std::size_t kWriters = 4;
+  constexpr traffic::FlowId kFlowsPerWriter = 2'000;
+  constexpr int kRecords = 4;
+  ArrivalRecorder::Options options;
+  options.capacity = 16;
+  ArrivalRecorder recorder(options);
+  const auto first_ns = [](traffic::FlowId id) {
+    return kNsPerSec + static_cast<std::int64_t>(id) * 1'000'000;
+  };
+  const auto signature = [](traffic::FlowId id) {
+    return static_cast<double>(id + 1);
+  };
+
+  std::atomic<bool> stop{false};
+  std::thread collector([&] {
+    std::vector<ArrivalRecorder::FlowWindows> out;
+    while (!stop.load(std::memory_order_acquire)) {
+      out.clear();
+      recorder.collect(first_ns(kWriters * kFlowsPerWriter), out);
+      for (const auto& fw : out) {
+        const double sig = signature(fw.flow_id);
+        EXPECT_EQ(fw.class_index, fw.flow_id / kFlowsPerWriter);
+        EXPECT_TRUE(fw.registered_ns == 0 ||
+                    fw.registered_ns == first_ns(fw.flow_id))
+            << fw.flow_id << " " << fw.registered_ns;
+        EXPECT_LE(fw.total_bits, kRecords * sig) << fw.flow_id;
+        EXPECT_EQ(std::fmod(fw.total_bits, sig), 0.0) << fw.flow_id;
+        for (double bits : fw.window_bits) {
+          EXPECT_LE(bits, kRecords * sig) << fw.flow_id;
+          EXPECT_EQ(std::fmod(bits, sig), 0.0) << fw.flow_id;
+        }
+      }
+    }
+  });
+  std::vector<std::thread> writers;
+  for (std::size_t w = 0; w < kWriters; ++w)
+    writers.emplace_back([&, w] {
+      for (traffic::FlowId i = 0; i < kFlowsPerWriter; ++i) {
+        const traffic::FlowId id = w * kFlowsPerWriter + i;
+        recorder.on_admit(id, static_cast<std::uint32_t>(w));
+        for (int r = 0; r < kRecords; ++r)
+          recorder.record(id, signature(id), first_ns(id) + r * 1'000);
+        recorder.on_release(id);
+      }
+    });
+  for (auto& thread : writers) thread.join();
+  stop.store(true, std::memory_order_release);
+  collector.join();
+
+  EXPECT_EQ(recorder.dropped_registrations(), 0u);
+  EXPECT_EQ(recorder.dropped_records(), 0u);
+  EXPECT_EQ(recorder.flow_count(), 0u);
+}
+
+// ---------------------------------------------------------------------------
 // ConformanceMonitor: the one-sided estimator guarantee
 // ---------------------------------------------------------------------------
 

@@ -1,11 +1,17 @@
 // Tests for src/net: topology construction, server graph, serialization.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "net/graph.hpp"
 #include "net/path.hpp"
 #include "net/server_graph.hpp"
 #include "net/topology_factory.hpp"
 #include "net/topology_io.hpp"
+#include "util/rng.hpp"
 
 namespace ubac::net {
 namespace {
@@ -174,6 +180,149 @@ TEST(TopologyIo, IgnoresCommentsAndBlankLines) {
   EXPECT_EQ(t.name(), "demo");
   EXPECT_EQ(t.node_count(), 2u);
   EXPECT_EQ(t.link_count(), 2u);
+}
+
+/// What from_text(text) throws, or "" when it parses.
+std::string parse_error(const std::string& text) {
+  try {
+    from_text(text);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(TopologyIo, RejectsTrailingTokens) {
+  EXPECT_NE(parse_error("node a extra\n"), "");
+  EXPECT_NE(parse_error("node a\nnode b\nlink a b 5 junk\n"), "");
+  EXPECT_NE(parse_error("node a\nnode b\nsimplex a b 5 6\n"), "");
+  EXPECT_NE(parse_error("node a\nnode b\nlink a b 5junk\n"), "");
+  EXPECT_NE(parse_error("topology demo extra\n"), "");
+  EXPECT_NE(parse_error("node a\nnode b\nlink a b nan\n"), "");
+  EXPECT_EQ(parse_error("node a # extra\n"), "");  // a comment is not one
+}
+
+TEST(TopologyIo, RejectsATopologyLineAfterNodes) {
+  const std::string error = parse_error("node a\ntopology late\nnode b\n");
+  EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+  EXPECT_EQ(parse_error("# header\ntopology early\nnode a\n"), "");
+}
+
+// Topology's own invariants surface as parse errors naming the line.
+TEST(TopologyIo, GraphErrorsBecomeParseErrorsWithTheLine) {
+  const std::string nodes = "topology t\nnode a\nnode b\n";
+  for (const auto& [text, line] : std::vector<std::pair<std::string, int>>{
+           {"node a\nnode a\n", 2},
+           {nodes + "link a b 5\nsimplex b a 5\n", 5},
+           {nodes + "link a a 5\n", 4},
+           {nodes + "simplex a b 5\nsimplex a b 7\n", 5}}) {
+    try {
+      from_text(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("line " + std::to_string(line)),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+/// A random topology with varied capacities, duplex and simplex links.
+Topology random_topology(util::Xoshiro256& rng, int index) {
+  Topology t("random-" + std::to_string(index));
+  const std::size_t n = 2 + rng.uniform_index(7);
+  for (std::size_t i = 0; i < n; ++i) t.add_node("r" + std::to_string(i));
+  for (NodeId a = 0; a < n; ++a)
+    for (NodeId b = 0; b < n; ++b) {
+      if (a == b || t.find_link(a, b) || !rng.bernoulli(0.35)) continue;
+      const double capacity = rng.uniform(1e3, 1e10);
+      if (t.find_link(b, a) || rng.bernoulli(0.3))
+        t.add_simplex_link(a, b, capacity);
+      else
+        t.add_duplex_link(a, b, capacity);
+    }
+  return t;
+}
+
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+std::string join_lines(const std::vector<std::string>& lines) {
+  std::string text;
+  for (const std::string& line : lines) text += line + "\n";
+  return text;
+}
+
+/// One seeded mutation of serialized topology text: a byte flip, a token
+/// dropped or duplicated in place, or a whole line dropped or duplicated.
+std::string mutate(const std::string& text, util::Xoshiro256& rng) {
+  if (rng.bernoulli(0.4)) {
+    std::string out = text;
+    const std::size_t at = rng.uniform_index(out.size());
+    out[at] = static_cast<char>(out[at] ^ (1 + rng.uniform_index(255)));
+    return out;
+  }
+  std::vector<std::string> lines = split_lines(text);
+  const std::size_t at = rng.uniform_index(lines.size());
+  switch (rng.uniform_index(4)) {
+    case 0:
+      lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(at));
+      break;
+    case 1:
+      lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(at),
+                   lines[at]);
+      break;
+    default: {
+      std::vector<std::string> tokens;
+      std::istringstream in(lines[at]);
+      for (std::string token; in >> token;) tokens.push_back(token);
+      const std::size_t k = rng.uniform_index(tokens.size());
+      if (rng.bernoulli(0.5))
+        tokens.erase(tokens.begin() + static_cast<std::ptrdiff_t>(k));
+      else
+        tokens.insert(tokens.begin() + static_cast<std::ptrdiff_t>(k),
+                      tokens[k]);
+      std::string line;
+      for (const std::string& token : tokens)
+        line += (line.empty() ? "" : " ") + token;
+      lines[at] = line;
+    }
+  }
+  return join_lines(lines);
+}
+
+// Mutated serializations either parse to a topology that round-trips
+// through to_text/from_text unchanged, or throw the parser's one error
+// type with a line number — never another exception type.
+TEST(TopologyIo, MutatedTextRoundTripsOrThrowsAParseError) {
+  util::Xoshiro256 rng(0x70B0);
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (int t = 0; t < 60; ++t) {
+    const std::string text = to_text(random_topology(rng, t));
+    for (int m = 0; m < 50; ++m) {
+      const std::string input = mutate(text, rng);
+      try {
+        const std::string parsed = to_text(from_text(input));
+        EXPECT_EQ(to_text(from_text(parsed)), parsed) << input;
+        ++accepted;
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("parse error at line"),
+                  std::string::npos)
+            << e.what();
+        ++rejected;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "unexpected exception: " << e.what() << "\n"
+                      << input;
+      }
+    }
+  }
+  EXPECT_GT(accepted, 100u);
+  EXPECT_GT(rejected, 1000u);
 }
 
 }  // namespace

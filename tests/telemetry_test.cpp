@@ -11,6 +11,7 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -253,6 +254,13 @@ TEST(EventTracer, SamplingZeroRecordsNothing) {
   EXPECT_EQ(tracer.recorded(), 0u);
   EXPECT_EQ(tracer.sampled_out(), 100u);
   EXPECT_TRUE(tracer.snapshot().empty());
+}
+
+TEST(EventTracer, SamplingOutsideTheUnitIntervalIsRefused) {
+  for (const double sampling : {-0.5, 1.7, std::nan("")})
+    EXPECT_THROW(EventTracer(16, sampling), std::invalid_argument) << sampling;
+  EXPECT_NO_THROW(EventTracer(16, 0.0));
+  EXPECT_NO_THROW(EventTracer(16, 1.0));
 }
 
 TEST(EventTracer, SamplingKeepsRoughlyTheRequestedFraction) {
@@ -638,6 +646,37 @@ TEST(ControllerTelemetry, UtilizationGaugesMatchTheController) {
     if (util->value > 0.0) ++checked;
   }
   EXPECT_GT(checked, 0u);  // at least one loaded server was exported
+}
+
+// A traced decision carries the worst per-hop utilization of its route,
+// bit-identical to class_utilization() over the route's servers, also
+// against a live share that apply_shares() moved.
+TEST(ControllerTelemetry, TracedUtilizationIsTheRoutesWorstHop) {
+  Scenario s;
+  MetricsRegistry registry;
+  EventTracer tracer(1, 1.0);
+  admission::AdmissionController ctl(s.graph, s.classes, s.table());
+  admission::ControllerTelemetry telemetry(registry, "concurrent", &tracer);
+  ctl.attach_telemetry(&telemetry);
+
+  std::size_t rejects = 0;
+  for (int round = 0; round < 20'000; ++round) {
+    if (round == 10'000) {
+      const admission::ShareUpdate shrink{0, 0.2};
+      ctl.apply_shares({&shrink, 1});
+    }
+    const std::size_t i = static_cast<std::size_t>(round) % s.demands.size();
+    const auto& d = s.demands[i];
+    const auto decision = ctl.request(d.src, d.dst, d.class_index);
+    rejects += !decision.admitted();
+    double worst = 0.0;
+    for (const net::ServerId server : s.routes[i])
+      worst = std::max(worst, ctl.class_utilization(server, d.class_index));
+    const auto events = tracer.snapshot();
+    ASSERT_EQ(events.size(), 1u);  // a rollback copies the decision's value
+    EXPECT_EQ(events[0].utilization, worst) << "round " << round;
+  }
+  EXPECT_GT(rejects, 0u);
 }
 
 TEST(ControllerTelemetry, SequentialControllerReportsTheSameInstruments) {

@@ -6,11 +6,13 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/histogram.hpp"
+#include "util/lane_claims.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -375,6 +377,41 @@ TEST(ThreadPool, WaitIdleBlocksUntilDone) {
     pool.submit([&done] { done++; });
   pool.wait_idle();
   EXPECT_EQ(done.load(), 10);
+}
+
+// The first kLanes threads each claim a lane of their own, exclusively;
+// later threads get a shared claim: own() hashes them onto the claimed
+// lanes, own_exclusive() sends them all to the overflow lane kLanes.
+TEST(LaneClaims, FirstThreadsOwnTheirLanesLaterOnesOverflow) {
+  constexpr std::size_t kThreads = util::LaneClaims::kLanes + 4;
+  util::LaneClaims claims;
+  std::vector<util::LaneClaims::Cache> caches(kThreads);
+  std::vector<std::uint32_t> lane(kThreads), exclusive_lane(kThreads);
+  // One thread at a time, so claim order is thread order.
+  for (std::size_t i = 0; i < kThreads; ++i)
+    std::thread([&, i] {
+      lane[i] = claims.own(caches[i]);
+      exclusive_lane[i] = claims.own_exclusive(caches[i]);
+      // The cached claim answers the same again.
+      EXPECT_EQ(claims.own(caches[i]), lane[i]);
+    }).join();
+
+  for (std::size_t i = 0; i < kThreads; ++i) {
+    const bool owns = i < util::LaneClaims::kLanes;
+    EXPECT_EQ(caches[i].exclusive, owns) << i;
+    ASSERT_LT(lane[i], util::LaneClaims::kLanes) << i;
+    if (owns) {
+      EXPECT_EQ(lane[i], i);
+      EXPECT_EQ(exclusive_lane[i], i);
+    } else {
+      EXPECT_EQ(exclusive_lane[i], util::LaneClaims::kLanes) << i;
+    }
+  }
+  // A second owner starts over: this thread is first there.
+  util::LaneClaims other;
+  util::LaneClaims::Cache cache;
+  EXPECT_EQ(other.own_exclusive(cache), 0u);
+  EXPECT_TRUE(cache.exclusive);
 }
 
 }  // namespace
