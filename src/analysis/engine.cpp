@@ -164,9 +164,9 @@ struct FrontierScratch {
 
 FeasibilityStatus AnalysisEngine::run_frontier(
     const std::vector<net::ServerId>& seeds,
-    std::span<const net::ServerId> extra,
+    std::span<const net::ServerId> extra, Seconds cutoff,
     std::vector<Seconds>& d, std::vector<EngineRouteId>& touched,
-    std::vector<Seconds>& touched_delay, Seconds& extra_delay,
+    std::vector<Seconds>& touched_delay, Seconds& extra_delay, bool& cut,
     int& iterations, std::size_t& active_count) const {
   // The static reachability closure over-approximates badly on dense
   // route sets (it degenerates to the whole system). This loop instead
@@ -245,6 +245,7 @@ FeasibilityStatus AnalysisEngine::run_frontier(
       }
     }
   };
+  cut = false;
   for (int iter = 1; iter <= options_.max_iterations; ++iter) {
     iterations = iter;
     bool violated = false;
@@ -273,6 +274,15 @@ FeasibilityStatus AnalysisEngine::run_frontier(
       extra_delay = extra_sum;
       active_count = sc.alist.size();
       return FeasibilityStatus::kDeadlineViolated;
+    }
+    // The candidate's sum only grows from sweep to sweep, and the delay a
+    // probe reports is its last sweep's sum: once a sum reaches the cutoff,
+    // the probe cannot come in below it.
+    if (!extra.empty() && extra_sum >= cutoff) {
+      cut = true;
+      extra_delay = extra_sum;
+      active_count = sc.alist.size();
+      return FeasibilityStatus::kNoConvergence;
     }
 
     if (max_change < options_.tolerance) {
@@ -442,8 +452,11 @@ const DelaySolution& AnalysisEngine::solve() {
     std::vector<EngineRouteId> touched;
     std::vector<Seconds> touched_delay;
     Seconds unused = 0.0;
-    status = run_frontier(pending_list_, {}, delay_, touched,
-                          touched_delay, unused, iterations, dirty);
+    bool no_cut = false;
+    status = run_frontier(pending_list_, {},
+                          std::numeric_limits<Seconds>::infinity(), delay_,
+                          touched, touched_delay, unused, no_cut, iterations,
+                          dirty);
     for (std::size_t r = 0; r < touched.size(); ++r)
       routes_[touched[r]].delay = touched_delay[r];
   } else {
@@ -511,8 +524,8 @@ void AnalysisEngine::refresh_solution(int iterations) {
   solution_fresh_ = true;
 }
 
-RouteProbe AnalysisEngine::probe_route(
-    std::span<const net::ServerId> route) const {
+RouteProbe AnalysisEngine::probe_route(std::span<const net::ServerId> route,
+                                       Seconds cutoff) const {
   UBAC_SPAN_ARG("engine.probe_route", "engine", "hops", route.size());
   if (!solution_fresh_ || poisoned_ || !pending_list_.empty())
     throw std::logic_error(
@@ -545,14 +558,17 @@ RouteProbe AnalysisEngine::probe_route(
   static const std::vector<net::ServerId> kNoSeeds;
   RouteProbe probe;
   std::size_t dirty = 0;
-  probe.status = run_frontier(kNoSeeds, route, d, touched, touched_delay,
-                              probe.route_delay, probe.iterations, dirty);
+  probe.status =
+      run_frontier(kNoSeeds, route, cutoff, d, touched, touched_delay,
+                   probe.route_delay, probe.cut, probe.iterations, dirty);
 
-  for (std::size_t r = 0; r < touched.size(); ++r)
-    if (touched_delay[r] != routes_[touched[r]].delay)
-      probe.committed_route_delta.push_back({touched[r], touched_delay[r]});
-  for (net::ServerId s = 0; s < servers; ++s)
-    if (d[s] != delay_[s]) probe.server_delta.push_back({s, d[s]});
+  if (!probe.cut) {
+    for (std::size_t r = 0; r < touched.size(); ++r)
+      if (touched_delay[r] != routes_[touched[r]].delay)
+        probe.committed_route_delta.push_back({touched[r], touched_delay[r]});
+    for (net::ServerId s = 0; s < servers; ++s)
+      if (d[s] != delay_[s]) probe.server_delta.push_back({s, d[s]});
+  }
 
   if (telemetry_.probes) telemetry_.probes->add();
   if (telemetry_.dirty_servers)

@@ -78,6 +78,10 @@ struct RouteProbe {
   std::vector<std::pair<net::ServerId, Seconds>> server_delta;
   /// Committed routes whose end-to-end bound changed, with new values.
   std::vector<std::pair<EngineRouteId, Seconds>> committed_route_delta;
+  /// The probe stopped once the candidate's sum reached the caller's
+  /// cutoff: status is kNoConvergence, route_delay is that sum (a lower
+  /// bound of the converged delay) and both deltas are empty.
+  bool cut = false;
 
   bool safe() const { return status == FeasibilityStatus::kSafe; }
 };
@@ -149,8 +153,13 @@ class AnalysisEngine {
 
   /// Trial-evaluate committed + `route` without mutating the engine.
   /// Requires a clean, safely solved committed state. Thread-safe against
-  /// concurrent probes.
-  RouteProbe probe_route(std::span<const net::ServerId> route) const;
+  /// concurrent probes. Once a sweep's sum along `route` reaches `cutoff`
+  /// the probe stops, cut and not safe: the sweep sums only grow, so the
+  /// delay the full probe would report is >= cutoff too. A probe that is
+  /// not cut is exactly the probe without a cutoff.
+  RouteProbe probe_route(
+      std::span<const net::ServerId> route,
+      Seconds cutoff = std::numeric_limits<Seconds>::infinity()) const;
 
   /// Commit a candidate previously accepted by probe_route, applying its
   /// sparse delta instead of re-solving. The probe must be safe and the
@@ -203,14 +212,16 @@ class AnalysisEngine {
   /// servers whose inputs actually changed (beyond the tolerance) are
   /// re-iterated, activating downstream servers on demand. `extra`, when
   /// non-empty, is an uncommitted candidate route overlaid on the
-  /// committed set (the probe path). Touched committed routes and their
-  /// final sums are returned through `touched`/`touched_delay`.
+  /// committed set (the probe path); the iteration stops with `cut` set
+  /// once a sweep's sum along it reaches `cutoff`. Touched committed routes
+  /// and their final sums are returned through `touched`/`touched_delay`.
   FeasibilityStatus run_frontier(const std::vector<net::ServerId>& seeds,
                                  std::span<const net::ServerId> extra,
-                                 std::vector<Seconds>& d,
+                                 Seconds cutoff, std::vector<Seconds>& d,
                                  std::vector<EngineRouteId>& touched,
                                  std::vector<Seconds>& touched_delay,
-                                 Seconds& extra_delay, int& iterations,
+                                 Seconds& extra_delay, bool& cut,
+                                 int& iterations,
                                  std::size_t& active_count) const;
 
   const net::ServerGraph* graph_;

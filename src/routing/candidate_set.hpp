@@ -6,7 +6,8 @@
 /// The Section 5.2 heuristic scores each demand's k shortest paths. They
 /// depend only on the topology, so the Section 5.3 search over alpha
 /// builds them once — Yen's algorithm plus the link-server mapping — and
-/// every probe reads them in place from two flat arenas.
+/// every probe reads them in place from two flat arenas. The search builds
+/// them on its helper threads too, before it speculates on them.
 
 #include <cstddef>
 #include <span>
@@ -14,15 +15,28 @@
 
 #include "routing/route_selection.hpp"
 
+namespace ubac::util {
+class ThreadPool;
+}
+
 namespace ubac::routing::detail {
 
 class CandidateSet {
  public:
+  using Cache = std::vector<std::vector<net::NodePath>>;
+
   /// Candidates of every demand: the rows of `cache` (aligned with
   /// `demands`) when given, else the `k` shortest paths of each demand.
+  /// With a `pool` (idle, and idle again on return) the calling thread and
+  /// the pool's workers build the rows in chunks, and the chunks are
+  /// joined in demand order, so the arenas are the serial build's. A demand
+  /// that throws is rethrown here: the first one in demand order.
   CandidateSet(const net::ServerGraph& graph,
                const std::vector<traffic::Demand>& demands, std::size_t k,
-               const std::vector<std::vector<net::NodePath>>* cache);
+               const Cache* cache, util::ThreadPool* pool = nullptr);
+
+  /// Same demands, same candidates, same arenas.
+  bool operator==(const CandidateSet&) const = default;
 
   /// Number of candidates of demand `d`.
   std::size_t count(std::size_t d) const { return first_[d + 1] - first_[d]; }
@@ -40,6 +54,14 @@ class CandidateSet {
   }
 
  private:
+  CandidateSet() = default;
+  /// Append the rows of demands [begin, end).
+  void add_rows(const net::ServerGraph& graph,
+                const std::vector<traffic::Demand>& demands, std::size_t k,
+                const Cache* cache, std::size_t begin, std::size_t end);
+  /// Append the rows of `rows` after this set's.
+  void append(const CandidateSet& rows);
+
   // Offsets: first candidate of each demand, and where each candidate
   // starts in the two arenas; each vector ends with its end offset.
   std::vector<std::size_t> first_{0};

@@ -22,21 +22,35 @@ namespace ubac::routing {
 
 namespace {
 
-/// Speculative selector runs for the bisection, on a pool of helper
-/// threads. take() hands the search the result at an alpha: a helper's
-/// once it has started that run, else a run on the calling thread.
-/// prune() cancels the runs the search can no longer reach; nothing reads
-/// their results or exceptions. Destruction cancels every run, then joins
-/// the helpers.
+/// The search's helper threads: two when the host has at least three
+/// hardware threads, else none.
+int default_helpers() {
+  return std::thread::hardware_concurrency() >= 3 ? 2 : 0;
+}
+
+/// A pool of `helpers` threads (at most 2), or none.
+std::unique_ptr<util::ThreadPool> helper_pool(int helpers) {
+  if (helpers <= 0) return nullptr;
+  return std::make_unique<util::ThreadPool>(
+      static_cast<std::size_t>(std::min(helpers, 2)));
+}
+
+/// Speculative selector runs for the bisection, on the search's helper
+/// pool (nullptr: none; the pool runs nothing else meanwhile). take()
+/// hands the search the result at an alpha: a helper's once it has
+/// started that run, else a run on the calling thread. prune() cancels the
+/// runs the search can no longer reach; nothing reads their results or
+/// exceptions. Destruction cancels every run, then waits for the helpers
+/// to let go of them.
 class Speculation {
  public:
-  Speculation(const RouteSelector& selector, int helpers)
-      : selector_(selector) {
-    if (helpers > 0)
-      pool_.emplace(static_cast<std::size_t>(std::min(helpers, 2)));
-  }
+  Speculation(const RouteSelector& selector, util::ThreadPool* pool)
+      : selector_(selector), pool_(pool) {}
 
-  ~Speculation() { prune(0.0, 0.0); }
+  ~Speculation() {
+    prune(0.0, 0.0);
+    if (pool_ != nullptr) pool_->wait_idle();
+  }
 
   Speculation(const Speculation&) = delete;
   Speculation& operator=(const Speculation&) = delete;
@@ -121,32 +135,19 @@ class Speculation {
   }
 
   const RouteSelector& selector_;
+  util::ThreadPool* const pool_;
   std::mutex mu_;
   std::condition_variable done_;  ///< a helper finished a run
   std::vector<std::shared_ptr<Run>> runs_;  ///< launched, not taken or pruned
-  std::optional<util::ThreadPool> pool_;    ///< destroyed (joined) first
 };
 
-}  // namespace
-
-MaxUtilResult maximize_utilization(double fan_in, int diameter,
-                                   const traffic::LeakyBucket& bucket,
-                                   Seconds deadline,
-                                   const RouteSelector& selector,
-                                   const MaxUtilOptions& options,
-                                   const RouteReverifier& reverifier) {
-  const int helpers = std::thread::hardware_concurrency() >= 3 ? 2 : 0;
-  return detail::maximize_utilization(fan_in, diameter, bucket, deadline,
-                                      selector, options, reverifier, helpers);
-}
-
-MaxUtilResult detail::maximize_utilization(double fan_in, int diameter,
-                                           const traffic::LeakyBucket& bucket,
-                                           Seconds deadline,
-                                           const RouteSelector& selector,
-                                           const MaxUtilOptions& options,
-                                           const RouteReverifier& reverifier,
-                                           int helpers) {
+/// The bisection, speculating on `pool` (nullptr: sequential).
+MaxUtilResult search(double fan_in, int diameter,
+                     const traffic::LeakyBucket& bucket, Seconds deadline,
+                     const RouteSelector& selector,
+                     const MaxUtilOptions& options,
+                     const RouteReverifier& reverifier,
+                     util::ThreadPool* pool) {
   if (options.resolution <= 0.0)
     throw std::invalid_argument("maximize_utilization: bad resolution");
 
@@ -187,7 +188,7 @@ MaxUtilResult detail::maximize_utilization(double fan_in, int diameter,
   // alphas the search may probe next. The search still consumes every
   // step in the sequential order, so its result is the sequential one;
   // prune() drops the runs an outcome made unreachable.
-  Speculation speculation(selector, helpers);
+  Speculation speculation(selector, pool);
   auto probe = [&](double alpha,
                    std::initializer_list<std::optional<double>> next) {
     UBAC_SPAN_ARG("maxutil.probe", "routing", "alpha", alpha);
@@ -264,17 +265,11 @@ MaxUtilResult detail::maximize_utilization(double fan_in, int diameter,
   return result;
 }
 
-namespace {
-
 double uniform_fan_in(const net::ServerGraph& graph) {
   if (graph.size() == 0)
     throw std::invalid_argument("maximize_utilization: empty graph");
   return graph.server(0).fan_in;
 }
-
-}  // namespace
-
-namespace {
 
 /// Warm-started re-verification of a previously committed route set at a
 /// higher alpha (sound lower bound: Z grows pointwise in alpha).
@@ -293,24 +288,51 @@ RouteReverifier make_reverifier(const net::ServerGraph& graph,
 
 }  // namespace
 
+MaxUtilResult maximize_utilization(double fan_in, int diameter,
+                                   const traffic::LeakyBucket& bucket,
+                                   Seconds deadline,
+                                   const RouteSelector& selector,
+                                   const MaxUtilOptions& options,
+                                   const RouteReverifier& reverifier) {
+  return detail::maximize_utilization(fan_in, diameter, bucket, deadline,
+                                      selector, options, reverifier,
+                                      default_helpers());
+}
+
+MaxUtilResult detail::maximize_utilization(double fan_in, int diameter,
+                                           const traffic::LeakyBucket& bucket,
+                                           Seconds deadline,
+                                           const RouteSelector& selector,
+                                           const MaxUtilOptions& options,
+                                           const RouteReverifier& reverifier,
+                                           int helpers) {
+  const auto pool = helper_pool(helpers);
+  return search(fan_in, diameter, bucket, deadline, selector, options,
+                reverifier, pool.get());
+}
+
 MaxUtilResult maximize_utilization_heuristic(
     const net::ServerGraph& graph, const traffic::LeakyBucket& bucket,
     Seconds deadline, const std::vector<traffic::Demand>& demands,
     const HeuristicOptions& heuristic, const MaxUtilOptions& options) {
   const int l = net::diameter(graph.topology());
   // Candidate routes depend only on the topology, not on alpha: build them
-  // and their link-server mapping once and share them across every probe
-  // of the binary search.
-  const detail::CandidateSet candidates(
-      graph, demands, heuristic.candidates_per_pair, heuristic.candidates);
-  return maximize_utilization(
+  // and their link-server mapping once, on the caller and the helpers the
+  // search speculates on next, and share them across every probe of the
+  // binary search.
+  const auto pool = helper_pool(default_helpers());
+  const detail::CandidateSet candidates(graph, demands,
+                                        heuristic.candidates_per_pair,
+                                        heuristic.candidates, pool.get());
+  return search(
       uniform_fan_in(graph), l, bucket, deadline,
       [&](double alpha) {
         return detail::select_routes_heuristic(graph, alpha, bucket, deadline,
                                                demands, heuristic, candidates);
       },
       options,
-      make_reverifier(graph, bucket, deadline, heuristic.fixed_point));
+      make_reverifier(graph, bucket, deadline, heuristic.fixed_point),
+      pool.get());
 }
 
 MaxUtilResult maximize_utilization_shortest_path(

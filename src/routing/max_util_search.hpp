@@ -87,7 +87,9 @@ MaxUtilResult maximize_utilization(double fan_in, int diameter,
 
 }  // namespace detail
 
-/// Convenience wrappers for the two selectors compared in Table 1.
+/// Convenience wrappers for the two selectors compared in Table 1. The
+/// heuristic's search builds its candidate set on the calling thread and
+/// the helper threads it then speculates on.
 MaxUtilResult maximize_utilization_heuristic(
     const net::ServerGraph& graph, const traffic::LeakyBucket& bucket,
     Seconds deadline, const std::vector<traffic::Demand>& demands,

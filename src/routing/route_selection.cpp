@@ -142,13 +142,17 @@ RouteSelectionResult heuristic_core(
         // Min-delay with sound pruning: the committed delays are a lower
         // bound of a candidate's converged delay, so once its bound reaches
         // the best's *converged* delay it cannot win the strict
-        // comparison. Same winner as probing everything.
+        // comparison. The same argument cuts a probe off once one of its
+        // sweeps reaches that delay. Same winner as probing everything.
         const std::vector<Seconds>& committed = engine.server_delays();
         for (const std::size_t c : group) {
           Seconds bound = 0.0;
           for (const net::ServerId s : servers_of(c)) bound += committed[s];
           if (best.found && bound >= best.own_delay) continue;
-          analysis::RouteProbe probe = engine.probe_route(servers_of(c));
+          analysis::RouteProbe probe = engine.probe_route(
+              servers_of(c), best.found
+                                 ? best.own_delay
+                                 : std::numeric_limits<Seconds>::infinity());
           if (!probe.safe()) continue;
           if (!best.found || probe.route_delay < best.own_delay) {
             best.found = true;

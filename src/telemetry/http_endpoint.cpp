@@ -6,11 +6,16 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
+#include <string_view>
+#include <type_traits>
 
 #include "telemetry/alerts.hpp"
 #include "telemetry/exporters.hpp"
@@ -91,27 +96,45 @@ bool parse_request_line(const std::string& line, HttpRequest& request) {
   return !request.method.empty() && !request.path.empty();
 }
 
-/// Content-Length from the raw header block, 0 when absent or malformed.
-std::size_t parse_content_length(const std::string& headers) {
-  std::size_t pos = 0;
-  while (pos < headers.size()) {
-    auto eol = headers.find("\r\n", pos);
-    if (eol == std::string::npos) eol = headers.size();
-    const std::string line = headers.substr(pos, eol - pos);
+/// All of `text` as a T: nullopt when empty, malformed, trailed by
+/// anything, out of range or not finite. Unsigned types take no sign.
+template <class T>
+std::optional<T> parse_exact(std::string_view text) {
+  T value{};
+  const char* last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, value);
+  if (ec != std::errc() || end != last) return std::nullopt;
+  if constexpr (std::is_floating_point_v<T>)
+    if (!std::isfinite(value)) return std::nullopt;
+  return value;
+}
+
+/// Content-Length from the header lines after the request line: 0 when
+/// absent, nullopt when it is not a plain decimal count or when two of
+/// them disagree.
+std::optional<std::size_t> parse_content_length(const std::string& head) {
+  std::optional<std::size_t> length;
+  std::size_t pos = head.find("\r\n");
+  while (pos != std::string::npos && pos + 2 < head.size()) {
+    pos += 2;
+    const std::size_t eol = std::min(head.find("\r\n", pos), head.size());
+    const std::string_view line(head.data() + pos, eol - pos);
     const auto colon = line.find(':');
-    if (colon != std::string::npos) {
-      std::string key = line.substr(0, colon);
-      for (char& c : key) c = static_cast<char>(std::tolower(c));
-      if (key == "content-length") {
-        char* end = nullptr;
-        const unsigned long long n =
-            std::strtoull(line.c_str() + colon + 1, &end, 10);
-        return end == nullptr ? 0 : static_cast<std::size_t>(n);
-      }
+    std::string key(line.substr(0, colon));
+    for (char& c : key) c = static_cast<char>(std::tolower(c));
+    if (colon != std::string_view::npos && key == "content-length") {
+      std::string_view value = line.substr(colon + 1);
+      while (!value.empty() && (value.front() == ' ' || value.front() == '\t'))
+        value.remove_prefix(1);
+      while (!value.empty() && (value.back() == ' ' || value.back() == '\t'))
+        value.remove_suffix(1);
+      const auto n = parse_exact<std::size_t>(value);
+      if (!n || (length && *length != *n)) return std::nullopt;
+      length = n;
     }
-    pos = eol + 2;
+    pos = eol;
   }
-  return 0;
+  return length.value_or(0);
 }
 
 void send_all(int fd, const std::string& data) {
@@ -232,43 +255,49 @@ void HttpEndpoint::serve_connection(int fd) {
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
   ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
 
+  const auto reply = [&](const HttpResponse& response) {
+    send_response(fd, response);
+    served_.fetch_add(1, std::memory_order_relaxed);
+  };
   std::string data;
   char buf[2048];
   while (data.find("\r\n\r\n") == std::string::npos) {
-    if (data.size() > options_.max_request_bytes) {
-      send_response(fd, HttpResponse::text("request too large\n", 431));
-      served_.fetch_add(1, std::memory_order_relaxed);
+    if (data.size() > options_.max_request_bytes)
+      return reply(HttpResponse::text("request too large\n", 431));
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) {  // disconnect or timeout before a full header
+      // A client that stops (or half-closes) mid-request gets a 400; one
+      // that never sent a byte just goes away.
+      if (!data.empty())
+        reply(HttpResponse::text("incomplete request\n", 400));
       return;
     }
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) return;  // disconnect or timeout before a full header
     data.append(buf, static_cast<std::size_t>(n));
   }
 
   HttpRequest request;
-  const std::string request_line = data.substr(0, data.find("\r\n"));
+  const std::size_t header_end = data.find("\r\n\r\n") + 4;
+  const std::optional<std::size_t> length =
+      parse_content_length(data.substr(0, header_end));
   HttpResponse response;
-  if (!parse_request_line(request_line, request)) {
+  if (!parse_request_line(data.substr(0, data.find("\r\n")), request)) {
     response = HttpResponse::text("bad request\n", 400);
+  } else if (!length) {
+    response = HttpResponse::text("bad Content-Length\n", 400);
   } else if (request.method != "GET" && request.method != "HEAD" &&
              request.method != "POST") {
     response = HttpResponse::text("only GET/HEAD/POST are supported\n", 405);
   } else {
     if (request.method == "POST") {
-      const std::size_t header_end = data.find("\r\n\r\n") + 4;
-      const std::size_t want =
-          parse_content_length(data.substr(0, header_end));
-      if (want > options_.max_request_bytes) {
-        send_response(fd, HttpResponse::text("request too large\n", 431));
-        served_.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      while (data.size() - header_end < want) {
+      if (*length > options_.max_request_bytes)
+        return reply(HttpResponse::text("request too large\n", 431));
+      while (data.size() - header_end < *length) {
         const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-        if (n <= 0) return;  // disconnect or timeout mid-body
+        if (n <= 0)  // disconnect or timeout mid-body
+          return reply(HttpResponse::text("incomplete body\n", 400));
         data.append(buf, static_cast<std::size_t>(n));
       }
-      request.body = data.substr(header_end, want);
+      request.body = data.substr(header_end, *length);
       // A form-urlencoded body is just a query string by another name;
       // fold it into the same map so handlers serve both verbs.
       parse_form_pairs(request.body, request);
@@ -286,8 +315,7 @@ void HttpEndpoint::serve_connection(int fd) {
       }
     if (request.method == "HEAD") response.body.clear();
   }
-  send_response(fd, response);
-  served_.fetch_add(1, std::memory_order_relaxed);
+  reply(response);
 }
 
 void install_standard_routes(HttpEndpoint& endpoint,
@@ -343,11 +371,9 @@ void install_standard_routes(HttpEndpoint& endpoint,
     std::size_t window = 0;
     const std::string window_arg = request.query_get("window");
     if (!window_arg.empty()) {
-      char* end = nullptr;
-      const unsigned long parsed = std::strtoul(window_arg.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0')
-        return HttpResponse::text("bad window\n", 400);
-      window = static_cast<std::size_t>(parsed);
+      const auto parsed = parse_exact<std::size_t>(window_arg);
+      if (!parsed) return HttpResponse::text("bad window\n", 400);
+      window = *parsed;
     }
     return HttpResponse::json(sampler->store().to_json(name, window) + "\n");
   });
@@ -367,31 +393,18 @@ void install_standard_routes(HttpEndpoint& endpoint,
         return HttpResponse::text("missing rule=<name>\n", 400);
       AlertRuleConfig config;
       bool any = false;
-      const auto parse_double = [&](const char* key,
-                                    std::optional<double>& out) {
+      // A finite threshold, tick counts without a sign or overflow.
+      const auto parse = [&](const char* key, auto& out) {
         const std::string arg = request.query_get(key);
         if (arg.empty()) return true;
-        char* end = nullptr;
-        const double v = std::strtod(arg.c_str(), &end);
-        if (end == nullptr || *end != '\0') return false;
-        out = v;
-        any = true;
-        return true;
+        out = parse_exact<typename std::decay_t<decltype(out)>::value_type>(
+            arg);
+        any = any || out.has_value();
+        return out.has_value();
       };
-      const auto parse_ticks = [&](const char* key,
-                                   std::optional<std::size_t>& out) {
-        const std::string arg = request.query_get(key);
-        if (arg.empty()) return true;
-        char* end = nullptr;
-        const unsigned long v = std::strtoul(arg.c_str(), &end, 10);
-        if (end == nullptr || *end != '\0') return false;
-        out = static_cast<std::size_t>(v);
-        any = true;
-        return true;
-      };
-      if (!parse_double("threshold", config.threshold) ||
-          !parse_ticks("for_ticks", config.for_ticks) ||
-          !parse_ticks("resolve_ticks", config.resolve_ticks))
+      if (!parse("threshold", config.threshold) ||
+          !parse("for_ticks", config.for_ticks) ||
+          !parse("resolve_ticks", config.resolve_ticks))
         return HttpResponse::text("bad parameter\n", 400);
       if (!any)
         return HttpResponse::text(

@@ -14,7 +14,9 @@
 /// a key=value map. GET/HEAD/POST (405 otherwise), `Connection: close` on
 /// every response. POST bodies are read up to Content-Length; a
 /// form-urlencoded body is folded into the same query map handlers
-/// already read, so one handler serves both verbs.
+/// already read, so one handler serves both verbs. A Content-Length that
+/// is not one plain decimal count (or two that disagree), and a request
+/// that ends before its header or body does, get 400.
 /// install_standard_routes() wires the standard endpoints:
 ///
 ///   /metrics        Prometheus text 0.0.4 of the registry (gauges fresh

@@ -6,6 +6,8 @@
 // warm, frontier, dirty-closure, and poisoned re-solve paths.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <vector>
 
 #include "analysis/engine.hpp"
@@ -130,6 +132,79 @@ TEST(EngineEquivalence, RandomizedSequencesBatch2) {
 }
 TEST(EngineEquivalence, RandomizedSequencesBatch3) {
   for (std::uint64_t seed = 750; seed < 1000; ++seed) run_sequence(seed);
+}
+
+// ---------------------------------------------------------------------------
+// Cut-off probes: a cut is only ever taken where the full probe would have
+// come in at or above the cutoff
+// ---------------------------------------------------------------------------
+
+void expect_same_probe(const RouteProbe& a, const RouteProbe& b) {
+  EXPECT_EQ(a.status, b.status);
+  EXPECT_EQ(a.cut, b.cut);
+  EXPECT_EQ(a.route_delay, b.route_delay);
+  EXPECT_EQ(a.iterations, b.iterations);
+  EXPECT_EQ(a.server_delta, b.server_delta);
+  EXPECT_EQ(a.committed_route_delta, b.committed_route_delta);
+}
+
+TEST(EngineEquivalence, CutProbeIsTheUncutProbeOrLosesToItsCutoff) {
+  int cuts = 0, kept = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    util::Xoshiro256 rng(seed);
+    const auto topo =
+        net::random_connected(10 + rng.uniform_index(6), 3.0, seed * 31 + 5);
+    const net::ServerGraph graph(topo, 6u);
+    const Seconds deadline = milliseconds(40.0 + 40.0 * rng.uniform());
+    AnalysisEngine engine(graph, 0.15 + 0.35 * rng.uniform(), kVoice,
+                          deadline);
+    const int routes = 4 + static_cast<int>(rng.uniform_index(9));
+    for (int r = 0; r < routes; ++r)
+      engine.add_route(random_route(topo, graph, rng));
+    if (!engine.solve().safe()) continue;
+
+    for (int p = 0; p < 6; ++p) {
+      const auto route = random_route(topo, graph, rng);
+      const RouteProbe uncut = engine.probe_route(route);
+      EXPECT_FALSE(uncut.cut);
+      Seconds lower_bound = 0.0;
+      for (const net::ServerId s : route) lower_bound += engine.server_delays()[s];
+      const Seconds full = uncut.route_delay;
+      for (const Seconds cutoff :
+           {0.0, lower_bound, 0.5 * full, 0.9 * full, 0.999 * full, full,
+            std::nextafter(full, std::numeric_limits<Seconds>::infinity()),
+            1.1 * full, std::numeric_limits<Seconds>::infinity()}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "seed=" << seed << " probe=" << p
+                     << " cutoff/full=" << cutoff / full);
+        const RouteProbe probe = engine.probe_route(route, cutoff);
+        if (!probe.cut) {
+          ++kept;
+          expect_same_probe(probe, uncut);
+          continue;
+        }
+        ++cuts;
+        EXPECT_GE(full, cutoff);
+        EXPECT_GE(probe.route_delay, cutoff);
+        EXPECT_LE(probe.route_delay, full);  // a sweep sum, never past it
+        EXPECT_EQ(probe.status, FeasibilityStatus::kNoConvergence);
+        EXPECT_TRUE(probe.server_delta.empty());
+        EXPECT_TRUE(probe.committed_route_delta.empty());
+      }
+      // Reaching the cutoff is enough: a safe probe is cut at its own
+      // delay and runs to the end just above it.
+      if (uncut.safe()) {
+        EXPECT_TRUE(engine.probe_route(route, full).cut) << "seed=" << seed;
+        expect_same_probe(
+            engine.probe_route(
+                route,
+                std::nextafter(full, std::numeric_limits<Seconds>::infinity())),
+            uncut);
+      }
+    }
+  }
+  EXPECT_GT(cuts, 100);
+  EXPECT_GT(kept, 100);
 }
 
 // ---------------------------------------------------------------------------

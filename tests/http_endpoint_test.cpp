@@ -12,7 +12,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cctype>
 #include <cstring>
+#include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,6 +31,7 @@
 #include "telemetry/metrics.hpp"
 #include "telemetry/timeseries.hpp"
 #include "traffic/workload.hpp"
+#include "util/rng.hpp"
 #include "util/units.hpp"
 
 namespace ubac::telemetry {
@@ -35,7 +39,10 @@ namespace {
 
 /// Blocking one-shot HTTP client: connect, send `request`, read to EOF
 /// (the endpoint always closes the connection). Empty string on failure.
-std::string http_roundtrip(std::uint16_t port, const std::string& request) {
+/// `half_close` shuts the sending side once the request is out, so the
+/// endpoint sees the end of a truncated request at once.
+std::string http_roundtrip(std::uint16_t port, const std::string& request,
+                           bool half_close = false) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return "";
   sockaddr_in addr{};
@@ -52,6 +59,7 @@ std::string http_roundtrip(std::uint16_t port, const std::string& request) {
     if (n <= 0) break;
     sent += static_cast<std::size_t>(n);
   }
+  if (half_close) ::shutdown(fd, SHUT_WR);
   std::string response;
   char buf[4096];
   for (;;) {
@@ -169,6 +177,207 @@ TEST(HttpEndpoint, StandardRoutesServeTelemetry) {
   EXPECT_NE(alerts_body.find("\"alerts\":["), std::string::npos);
 
   endpoint.stop();
+}
+
+/// Standard routes over a registry with one gauge, a sampler that has
+/// ticked once and an alert engine with one quiet rule, "quiet".
+struct StandardRoutes {
+  MetricsRegistry registry;
+  std::unique_ptr<TelemetrySampler> sampler;
+  AlertEngine alerts;
+  HttpEndpoint endpoint;
+
+  StandardRoutes() {
+    registry.gauge("ubac_test_gauge", "a gauge").set(4.5);
+    TelemetrySampler::Options options;
+    options.ticks_per_window = 1;
+    sampler = std::make_unique<TelemetrySampler>(registry, options);
+    AlertRule rule;
+    rule.name = "quiet";
+    rule.threshold = 0.5;
+    rule.check = [](const MetricsSnapshot&, const TimeSeriesStore&,
+                    double) -> std::optional<AlertObservation> {
+      return std::nullopt;
+    };
+    alerts.add_rule(std::move(rule));
+    sampler->set_alert_engine(&alerts);
+    sampler->tick_now();
+    install_standard_routes(endpoint, registry, sampler.get(), &alerts);
+    endpoint.start();
+  }
+
+  std::string post(const std::string& target, const std::string& body,
+                   const std::string& headers = "") {
+    return http_roundtrip(endpoint.port(),
+                          "POST " + target + " HTTP/1.1\r\nHost: x\r\n" +
+                              headers + "Content-Length: " +
+                              std::to_string(body.size()) + "\r\n\r\n" +
+                              body);
+  }
+};
+
+/// True when `body` holds a bare non-finite number (what printf's %g
+/// prints for one), which no JSON parser accepts. A name echoed inside a
+/// string does not count.
+bool has_bare_non_finite(const std::string& body) {
+  for (std::size_t i = 0; i < body.size(); ++i) {
+    if (body[i] != ':' && body[i] != ',' && body[i] != '[') continue;
+    std::size_t j = i + 1;
+    if (j < body.size() && body[j] == '-') ++j;
+    std::string word = body.substr(j, 3);
+    for (char& c : word) c = static_cast<char>(std::tolower(c));
+    if (word == "nan" || word == "inf") return true;
+  }
+  return false;
+}
+
+TEST(HttpEndpoint, RejectsNonFiniteWrappingAndMalformedParameters) {
+  StandardRoutes routes;
+  const auto threshold_is = [&](const std::string& value) {
+    const std::string config = get(routes.endpoint.port(), "/alerts/config");
+    return config.find("\"threshold\":" + value + ",") != std::string::npos;
+  };
+  for (const char* bad : {"nan", "-nan", "inf", "-inf", "1e999", "0.5x",
+                          " 0.5"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_EQ(status_of(routes.post("/alerts/config",
+                                    std::string("rule=quiet&threshold=") + bad)),
+              400);
+  }
+  for (const char* bad : {"-1", "+3", "18446744073709551616", "3.0", ""}) {
+    SCOPED_TRACE(bad);
+    const std::string response =
+        routes.post("/alerts/config", std::string("rule=quiet&for_ticks=") +
+                                          bad + "&resolve_ticks=" + bad);
+    // An empty value means "not given", and then nothing is set.
+    EXPECT_EQ(status_of(response), 400);
+  }
+  EXPECT_TRUE(threshold_is("0.5"));
+  const std::string config = get(routes.endpoint.port(), "/alerts/config");
+  EXPECT_FALSE(has_bare_non_finite(config));
+  EXPECT_NE(config.find("\"for_ticks\":3,"), std::string::npos);
+  EXPECT_EQ(status_of(routes.post("/alerts/config",
+                                  "rule=quiet&threshold=0.75&for_ticks=2")),
+            200);
+  EXPECT_TRUE(threshold_is("0.75"));
+
+  for (const char* bad : {"-1", "18446744073709551616", "1e3", "+2"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_EQ(status_of(get(routes.endpoint.port(),
+                            std::string("/series?name=ubac_test_gauge&window=") +
+                                bad)),
+              400);
+  }
+  EXPECT_EQ(status_of(get(routes.endpoint.port(),
+                          "/series?name=ubac_test_gauge&window=2")),
+            200);
+
+  // Content-Length must be one plain decimal count.
+  const std::string body = "rule=quiet&threshold=0.25";
+  const auto with_length = [&](const std::string& lines) {
+    return http_roundtrip(routes.endpoint.port(),
+                          "POST /alerts/config HTTP/1.1\r\nHost: x\r\n" +
+                              lines + "\r\n" + body,
+                          true);
+  };
+  const std::string n = std::to_string(body.size());
+  for (const std::string& bad : std::vector<std::string>{
+           "Content-Length: " + n + "junk\r\n", "Content-Length: -5\r\n",
+        "Content-Length: \r\n", "Content-Length: +" + n + "\r\n",
+        "Content-Length: 99999999999999999999999\r\n",
+        // Either count alone would set a threshold (0.25 or 0.2).
+        "Content-Length: " + n + "\r\ncontent-length: " +
+            std::to_string(body.size() - 1) + "\r\n"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_EQ(status_of(with_length(bad)), 400);
+  }
+  // The same count twice is one count; spaces around it are allowed.
+  EXPECT_EQ(status_of(with_length("Content-Length: " + n +
+                                  "\r\nCONTENT-LENGTH:\t" + n + " \r\n")),
+            200);
+  EXPECT_TRUE(threshold_is("0.25"));
+  // A body cut short by the client is a 400, not a silent close.
+  EXPECT_EQ(status_of(with_length("Content-Length: 40\r\n")), 400);
+  EXPECT_EQ(status_of(http_roundtrip(routes.endpoint.port(),
+                                     "GET /healthz HTTP/1.1\r\n", true)),
+            400);
+  EXPECT_TRUE(threshold_is("0.25"));
+}
+
+/// A seeded mutation of `request`: bytes replaced, deleted or duplicated,
+/// tokens that once slipped through inserted, or the request cut short.
+std::string mutate(std::string request, util::Xoshiro256& rng) {
+  static const std::vector<std::string> kTokens = {
+      "nan", "inf", "-inf", "-1", "1e999", "18446744073709551616", "-",
+      "%00", "%", "&", "=", "&&==", "\r\n", "\r\n\r\n", " ", ":",
+      "Content-Length: 5\r\n", "Content-Length: -5\r\n",
+      "Content-Length: 12junk\r\n", "threshold=", "for_ticks=",
+      "resolve_ticks=", "window=", "rule=quiet", "?", "/", "HTTP/1.1"};
+  static const std::string kBytes = "0123456789.-+eE%&=?/ :\r\nainfNIX\t";
+  const int edits = 1 + static_cast<int>(rng.uniform_index(3));
+  for (int e = 0; e < edits && !request.empty(); ++e) {
+    const std::size_t at = rng.uniform_index(request.size());
+    switch (rng.uniform_index(5)) {
+      case 0:
+        request[at] = kBytes[rng.uniform_index(kBytes.size())];
+        break;
+      case 1:
+        request.insert(at, kTokens[rng.uniform_index(kTokens.size())]);
+        break;
+      case 2:
+        request.erase(at, 1 + rng.uniform_index(8));
+        break;
+      case 3:
+        request.insert(at, request.substr(at, 1 + rng.uniform_index(12)));
+        break;
+      default:
+        request.resize(at);
+        break;
+    }
+  }
+  return request;
+}
+
+TEST(HttpEndpoint, MutatedRequestsGetAnAllowedStatusAndFiniteJson) {
+  StandardRoutes routes;
+  const std::string form = "Content-Type: application/x-www-form-urlencoded";
+  const auto post = [&](const std::string& target, const std::string& body) {
+    return "POST " + target + " HTTP/1.1\r\nHost: x\r\n" + form +
+           "\r\nContent-Length: " + std::to_string(body.size()) +
+           "\r\n\r\n" + body;
+  };
+  const std::vector<std::string> seeds = {
+      post("/alerts/config",
+           "rule=quiet&threshold=0.5&for_ticks=2&resolve_ticks=3"),
+      post("/series", "name=ubac_test_gauge&window=2"),
+      "GET /series?name=ubac_test_gauge&window=1 HTTP/1.1\r\nHost: x\r\n\r\n",
+      "GET /alerts/config?rule=quiet&threshold=0.5 HTTP/1.1\r\nHost: x\r\n"
+      "\r\n"};
+  util::Xoshiro256 rng(20);
+  std::size_t sent = 0;
+  for (int i = 0; i < 400; ++i) {
+    const std::string request =
+        mutate(seeds[rng.uniform_index(seeds.size())], rng);
+    if (request.empty()) continue;
+    const std::string response =
+        http_roundtrip(routes.endpoint.port(), request, true);
+    ++sent;
+    const int status = status_of(response);
+    SCOPED_TRACE(::testing::Message() << "case " << i << ": " << request);
+    EXPECT_TRUE(status == 200 || status == 400 || status == 404 ||
+                status == 405 || status == 431)
+        << response;
+    if (status == 200) {
+      EXPECT_FALSE(has_bare_non_finite(response)) << response;
+    }
+  }
+  // Still serving, with every request answered and no rule set to a
+  // non-finite threshold.
+  const std::string config = get(routes.endpoint.port(), "/alerts/config");
+  EXPECT_EQ(status_of(config), 200);
+  EXPECT_FALSE(has_bare_non_finite(config));
+  EXPECT_EQ(status_of(get(routes.endpoint.port(), "/healthz")), 200);
+  EXPECT_EQ(routes.endpoint.requests_served(), sent + 2);
 }
 
 TEST(HttpEndpoint, ConformanceRoutesServeMonitorState) {
