@@ -10,7 +10,6 @@
 //   --json[=path]         also write the BENCH rows as JSON
 //                         (default path BENCH_scale.json)
 
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <sstream>
@@ -20,6 +19,7 @@
 #include "net/shortest_path.hpp"
 #include "routing/max_util_search.hpp"
 #include "util/cli.hpp"
+#include "util/parse_number.hpp"
 
 using namespace ubac;
 
@@ -31,12 +31,10 @@ std::vector<std::size_t> parse_sizes(const std::string& spec) {
   std::string item;
   while (std::getline(ss, item, ',')) {
     if (item.empty()) continue;
-    std::size_t size = 0;
-    const char* last = item.data() + item.size();
-    const auto [end, ec] = std::from_chars(item.data(), last, size);
-    if (ec != std::errc() || end != last)
+    const auto size = util::parse_number<std::size_t>(item);
+    if (!size)
       throw std::invalid_argument("--nodes: bad graph size '" + item + "'");
-    sizes.push_back(size);
+    sizes.push_back(*size);
   }
   if (sizes.empty()) throw std::invalid_argument("--nodes: empty list");
   return sizes;

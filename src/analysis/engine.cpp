@@ -73,57 +73,6 @@ void build_closure(std::size_t servers, std::size_t route_capacity,
   }
 }
 
-/// One restricted fixed-point pass: iterate only the closure servers,
-/// walking only `paths` (the routes intersecting the closure), with every
-/// other delay held fixed in `d`. Semantics match solve_two_class: early
-/// sound deadline-violation exit, convergence on max delay change, final
-/// route-sum check. `update` computes a server's next delay from its
-/// upstream accumulation.
-template <typename Update, typename RouteDeadline>
-FeasibilityStatus iterate_restricted(
-    const Closure& cl,
-    const std::vector<std::span<const net::ServerId>>& paths,
-    const RouteDeadline& deadline_of, const Update& update,
-    std::vector<Seconds>& d, std::vector<Seconds>& route_delay,
-    std::vector<Seconds>& upstream, int max_iterations, Seconds tolerance,
-    int& iterations_out) {
-  route_delay.assign(paths.size(), 0.0);
-  for (int iter = 1; iter <= max_iterations; ++iter) {
-    iterations_out = iter;
-    for (const net::ServerId s : cl.list) upstream[s] = 0.0;
-    bool violated = false;
-    for (std::size_t r = 0; r < paths.size(); ++r) {
-      Seconds prefix = 0.0;
-      for (const net::ServerId u : paths[r]) {
-        if (cl.in[u]) upstream[u] = std::max(upstream[u], prefix);
-        prefix += d[u];
-      }
-      route_delay[r] = prefix;
-      if (prefix > deadline_of(r)) violated = true;
-    }
-    if (violated) return FeasibilityStatus::kDeadlineViolated;
-
-    Seconds max_change = 0.0;
-    for (const net::ServerId s : cl.list) {
-      const Seconds next = update(s, upstream[s]);
-      max_change = std::max(max_change, std::abs(next - d[s]));
-      d[s] = next;
-    }
-    if (max_change < tolerance) {
-      bool ok = true;
-      for (std::size_t r = 0; r < paths.size(); ++r) {
-        Seconds total = 0.0;
-        for (const net::ServerId u : paths[r]) total += d[u];
-        route_delay[r] = total;
-        ok = ok && total <= deadline_of(r);
-      }
-      return ok ? FeasibilityStatus::kSafe
-                : FeasibilityStatus::kDeadlineViolated;
-    }
-  }
-  return FeasibilityStatus::kNoConvergence;
-}
-
 }  // namespace
 
 EngineTelemetry EngineTelemetry::resolve(telemetry::MetricsRegistry& registry) {
@@ -146,8 +95,44 @@ EngineTelemetry EngineTelemetry::resolve(telemetry::MetricsRegistry& registry) {
   return t;
 }
 
+
 // ---------------------------------------------------------------------------
-// AnalysisEngine (two-class)
+// Delay models
+// ---------------------------------------------------------------------------
+
+namespace detail {
+
+TwoClassDelay::TwoClassDelay(const net::ServerGraph& graph, double alpha,
+                             traffic::LeakyBucket bucket, Seconds deadline)
+    : alpha_(alpha), base_(bucket.burst / bucket.rate), deadline_(deadline) {
+  if (deadline <= 0.0)
+    throw std::invalid_argument("AnalysisEngine: deadline must be > 0");
+  set_alpha(graph, alpha);
+}
+
+void TwoClassDelay::set_alpha(const net::ServerGraph& graph, double alpha) {
+  alpha_ = alpha;
+  beta_.resize(graph.size());
+  for (net::ServerId s = 0; s < graph.size(); ++s)
+    beta_[s] = beta(alpha, graph.server(s).fan_in);
+}
+
+Theorem5Delay::Theorem5Delay(const net::ServerGraph& graph,
+                             const traffic::ClassSet& classes)
+    : classes_(&classes) {
+  fan_in_.reserve(graph.size());
+  for (net::ServerId s = 0; s < graph.size(); ++s)
+    fan_in_.push_back(graph.server(s).fan_in);
+}
+
+std::size_t Theorem5Delay::class_of(std::size_t cls) const {
+  if (cls >= classes_->size() || !classes_->at(cls).realtime)
+    throw std::invalid_argument("engine: route class must be real-time");
+  return cls;
+}
+
+// ---------------------------------------------------------------------------
+// EngineCore
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -162,8 +147,21 @@ struct FrontierScratch {
 
 }  // namespace
 
-FeasibilityStatus AnalysisEngine::run_frontier(
-    const std::vector<net::ServerId>& seeds,
+template <typename Model>
+EngineCore<Model>::EngineCore(const net::ServerGraph& graph, Model model,
+                              const FixedPointOptions& options)
+    : graph_(&graph), model_(std::move(model)), options_(options) {
+  const std::size_t servers = graph.size();
+  routes_by_server_.resize(servers);
+  used_count_.assign(servers * model_.class_count(), 0);
+  delay_.assign(servers * model_.class_count(), 0.0);
+  pending_dirty_.assign(servers, 0);
+  if (options_.metrics) telemetry_ = EngineTelemetry::resolve(*options_.metrics);
+}
+
+template <typename Model>
+FeasibilityStatus EngineCore<Model>::run_frontier(
+    const std::vector<net::ServerId>& seeds, std::size_t extra_cls,
     std::span<const net::ServerId> extra, Seconds cutoff,
     std::vector<Seconds>& d, std::vector<EngineRouteId>& touched,
     std::vector<Seconds>& touched_delay, Seconds& extra_delay, bool& cut,
@@ -172,21 +170,22 @@ FeasibilityStatus AnalysisEngine::run_frontier(
   // route sets (it degenerates to the whole system). This loop instead
   // grows the re-iterated region on demand: a server joins only once the
   // accumulated change of some server upstream of it exceeds the
-  // tolerance. Because beta < 1 attenuates every hop, changes decay
+  // tolerance. Because every hop attenuates (beta < 1), changes decay
   // geometrically and the active region stays near the seeds. Soundness
   // is unchanged — any schedule of monotone updates from a lower bound
   // stays below the least fixed point — and unpropagated drift is capped
   // at the tolerance per server, the same slack the full sweep's stopping
   // rule already accepts.
   const std::size_t servers = graph_->size();
-  const Seconds base = bucket_.burst / bucket_.rate;
+  const std::size_t classes = model_.class_count();
+  if constexpr (Model::kOneClass) extra_cls = 0;
 
   static thread_local FrontierScratch sc;
   sc.active.assign(servers, 0);
   sc.on_extra.assign(servers, 0);
   sc.changed.assign(servers, 0);
   sc.in_route.assign(routes_.size(), 0);
-  sc.upstream.assign(servers, 0.0);
+  sc.upstream.assign(servers * classes, 0.0);
   sc.accum.assign(servers, 0.0);
   sc.alist.clear();
   sc.changed_list.clear();
@@ -220,26 +219,32 @@ FeasibilityStatus AnalysisEngine::run_frontier(
   // underestimated inputs, so all iterates stay below the least fixed
   // point — the soundness argument is unchanged.
   Seconds extra_sum = 0.0;
-  auto relax = [&](net::ServerId u, Seconds prefix, Seconds& max_change) {
+  auto relax = [&](std::size_t cls, net::ServerId u, Seconds prefix,
+                   Seconds& max_change) {
+    Seconds* up = &sc.upstream[slot(0, u)];
     // >= rather than >: equal prefixes must still re-apply Z so that a
     // server whose own beta or usage changed (alpha raise, first route)
     // gets updated even when its max prefix does not move.
-    if (prefix >= sc.upstream[u]) {
-      sc.upstream[u] = prefix;
-      if (used_count_[u] > 0 || sc.on_extra[u]) {
-        const Seconds next = beta_[u] * (base + prefix);
-        if (next > d[u]) {
-          const Seconds delta = next - d[u];
-          d[u] = next;
-          max_change = std::max(max_change, delta);
-          // Expansion is monotone — once a server has triggered it, its
-          // downstream is active for good, so it never re-triggers.
-          if (!sc.changed[u]) {
-            sc.accum[u] += delta;
-            if (sc.accum[u] > options_.tolerance) {
-              sc.changed[u] = 1;
-              sc.changed_list.push_back(u);
-            }
+    if (prefix < up[cls]) return;
+    up[cls] = prefix;
+    // d_{j,u} reads Y_{l,u} for l <= j only and grows with each of them
+    // (Theorem 5 is monotone in every Y), so a larger Y of class `cls`
+    // re-evaluates the classes from `cls` down in priority.
+    for (std::size_t j = cls; j < classes; ++j) {
+      const std::size_t k = slot(j, u);
+      if (used_count_[k] == 0 && !(j == extra_cls && sc.on_extra[u])) continue;
+      const Seconds next = model_.delay(j, u, up);
+      if (next > d[k]) {
+        const Seconds delta = next - d[k];
+        d[k] = next;
+        max_change = std::max(max_change, delta);
+        // Expansion is monotone — once a server has triggered it, its
+        // downstream is active for good, so it never re-triggers.
+        if (!sc.changed[u]) {
+          sc.accum[u] += delta;
+          if (sc.accum[u] > options_.tolerance) {
+            sc.changed[u] = 1;
+            sc.changed_list.push_back(u);
           }
         }
       }
@@ -253,22 +258,23 @@ FeasibilityStatus AnalysisEngine::run_frontier(
     sc.changed_list.clear();
     sc.sums.resize(sc.rlist.size());
     for (std::size_t idx = 0; idx < sc.rlist.size(); ++idx) {
+      const std::size_t cls = route_class(sc.rlist[idx]);
       Seconds prefix = 0.0;
       for (const net::ServerId u : servers_of(sc.rlist[idx])) {
-        if (sc.active[u]) relax(u, prefix, max_change);
-        prefix += d[u];
+        if (sc.active[u]) relax(cls, u, prefix, max_change);
+        prefix += d[slot(cls, u)];
       }
       sc.sums[idx] = prefix;
-      if (prefix > deadline_) violated = true;
+      if (prefix > model_.deadline(cls)) violated = true;
     }
     if (!extra.empty()) {
       Seconds prefix = 0.0;
       for (const net::ServerId u : extra) {
-        if (sc.active[u]) relax(u, prefix, max_change);
-        prefix += d[u];
+        if (sc.active[u]) relax(extra_cls, u, prefix, max_change);
+        prefix += d[slot(extra_cls, u)];
       }
       extra_sum = prefix;
-      if (prefix > deadline_) violated = true;
+      if (prefix > model_.deadline(extra_cls)) violated = true;
     }
     if (violated) {
       extra_delay = extra_sum;
@@ -290,17 +296,19 @@ FeasibilityStatus AnalysisEngine::run_frontier(
       touched.clear();
       touched_delay.clear();
       for (std::size_t idx = 0; idx < sc.rlist.size(); ++idx) {
+        const std::size_t cls = route_class(sc.rlist[idx]);
         Seconds total = 0.0;
-        for (const net::ServerId u : servers_of(sc.rlist[idx])) total += d[u];
+        for (const net::ServerId u : servers_of(sc.rlist[idx]))
+          total += d[slot(cls, u)];
         touched.push_back(sc.rlist[idx]);
         touched_delay.push_back(total);
-        ok = ok && total <= deadline_;
+        ok = ok && total <= model_.deadline(cls);
       }
       if (!extra.empty()) {
         Seconds total = 0.0;
-        for (const net::ServerId u : extra) total += d[u];
+        for (const net::ServerId u : extra) total += d[slot(extra_cls, u)];
         extra_sum = total;
-        ok = ok && total <= deadline_;
+        ok = ok && total <= model_.deadline(extra_cls);
       }
       extra_delay = extra_sum;
       active_count = sc.alist.size();
@@ -328,33 +336,8 @@ FeasibilityStatus AnalysisEngine::run_frontier(
   return FeasibilityStatus::kNoConvergence;
 }
 
-AnalysisEngine::AnalysisEngine(const net::ServerGraph& graph, double alpha,
-                               traffic::LeakyBucket bucket, Seconds deadline,
-                               const FixedPointOptions& options)
-    : graph_(&graph),
-      alpha_(alpha),
-      bucket_(bucket),
-      deadline_(deadline),
-      options_(options) {
-  if (deadline <= 0.0)
-    throw std::invalid_argument("AnalysisEngine: deadline must be > 0");
-  const std::size_t servers = graph.size();
-  routes_by_server_.resize(servers);
-  used_count_.assign(servers, 0);
-  delay_.assign(servers, 0.0);
-  pending_dirty_.assign(servers, 0);
-  rebuild_beta();
-  if (options_.metrics) telemetry_ = EngineTelemetry::resolve(*options_.metrics);
-}
-
-void AnalysisEngine::rebuild_beta() {
-  const std::size_t servers = graph_->size();
-  beta_.resize(servers);
-  for (net::ServerId s = 0; s < servers; ++s)
-    beta_[s] = beta(alpha_, graph_->server(s).fan_in);
-}
-
-void AnalysisEngine::mark_dirty(net::ServerId s) {
+template <typename Model>
+void EngineCore<Model>::mark_dirty(net::ServerId s) {
   if (!pending_dirty_[s]) {
     pending_dirty_[s] = 1;
     pending_list_.push_back(s);
@@ -362,8 +345,10 @@ void AnalysisEngine::mark_dirty(net::ServerId s) {
   solution_fresh_ = false;
 }
 
-EngineRouteId AnalysisEngine::store(std::span<const net::ServerId> route,
-                                    Seconds delay) {
+template <typename Model>
+EngineRouteId EngineCore<Model>::store(std::size_t cls,
+                                       std::span<const net::ServerId> route,
+                                       Seconds delay) {
   if (dead_hops_ > hops_.size() / 2) {
     std::vector<net::ServerId> packed;
     packed.reserve(hops_.size() - dead_hops_);
@@ -381,7 +366,7 @@ EngineRouteId AnalysisEngine::store(std::span<const net::ServerId> route,
   }
   const RouteEntry entry{static_cast<std::uint32_t>(hops_.size()),
                          static_cast<std::uint32_t>(route.size()), delay,
-                         true};
+                         static_cast<std::uint32_t>(cls), true};
   hops_.insert(hops_.end(), route.begin(), route.end());
   if (free_ids_.empty()) {
     routes_.push_back(entry);
@@ -393,27 +378,32 @@ EngineRouteId AnalysisEngine::store(std::span<const net::ServerId> route,
   return id;
 }
 
-EngineRouteId AnalysisEngine::add_route(const net::ServerPath& route) {
+template <typename Model>
+EngineRouteId EngineCore<Model>::add(std::size_t cls,
+                                     std::span<const net::ServerId> route) {
+  cls = model_.class_of(cls);
   for (const net::ServerId s : route)
     if (s >= graph_->size())
       throw std::out_of_range("add_route: route references bad server");
-  const EngineRouteId id = store(route, 0.0);
+  const EngineRouteId id = store(cls, route, 0.0);
   for (const net::ServerId s : route) {
     routes_by_server_[s].push_back(id);
-    ++used_count_[s];
+    ++used_count_[slot(cls, s)];
     mark_dirty(s);
   }
   ++active_routes_;
   return id;
 }
 
-void AnalysisEngine::remove_route(EngineRouteId id) {
+template <typename Model>
+void EngineCore<Model>::remove_route(EngineRouteId id) {
   if (id >= routes_.size() || !routes_[id].active)
     throw std::invalid_argument("remove_route: unknown route id");
   routes_[id].active = false;
+  const std::size_t cls = route_class(id);
   for (const net::ServerId s : servers_of(id)) {
     std::erase(routes_by_server_[s], id);
-    --used_count_[s];
+    --used_count_[slot(cls, s)];
     mark_dirty(s);
   }
   dead_hops_ += routes_[id].length;
@@ -424,24 +414,15 @@ void AnalysisEngine::remove_route(EngineRouteId id) {
   pending_cold_ = true;
 }
 
-void AnalysisEngine::set_alpha(double alpha) {
-  if (alpha == alpha_) return;
-  const bool decrease = alpha < alpha_;
-  alpha_ = alpha;
-  rebuild_beta();
-  for (net::ServerId s = 0; s < graph_->size(); ++s)
-    if (used_count_[s] > 0 || delay_[s] != 0.0) mark_dirty(s);
-  if (decrease) pending_cold_ = true;
-  solution_fresh_ = false;
-}
-
-const DelaySolution& AnalysisEngine::solve() {
+template <typename Model>
+const typename Model::Solution& EngineCore<Model>::solve() {
   if (solution_fresh_ && pending_list_.empty() && !poisoned_) return solution_;
 
   const std::size_t servers = graph_->size();
+  const std::size_t classes = model_.class_count();
   const bool warm = !poisoned_ && !pending_cold_;
   UBAC_SPAN_ARG("engine.solve", "engine", "warm", warm ? 1.0 : 0.0);
-  FeasibilityStatus status;
+  FeasibilityStatus status = FeasibilityStatus::kNoConvergence;
   int iterations = 0;
   std::size_t dirty = 0;
 
@@ -453,13 +434,18 @@ const DelaySolution& AnalysisEngine::solve() {
     std::vector<Seconds> touched_delay;
     Seconds unused = 0.0;
     bool no_cut = false;
-    status = run_frontier(pending_list_, {},
+    status = run_frontier(pending_list_, 0, {},
                           std::numeric_limits<Seconds>::infinity(), delay_,
                           touched, touched_delay, unused, no_cut, iterations,
                           dirty);
     for (std::size_t r = 0; r < touched.size(); ++r)
       routes_[touched[r]].delay = touched_delay[r];
   } else {
+    const auto used_at = [&](net::ServerId s) {
+      for (std::size_t j = 0; j < classes; ++j)
+        if (used_count_[slot(j, s)] > 0) return true;
+      return false;
+    };
     Closure cl;
     if (poisoned_) {
       // Previous state is not a sound lower bound (unsafe solve, or never
@@ -467,7 +453,7 @@ const DelaySolution& AnalysisEngine::solve() {
       std::fill(delay_.begin(), delay_.end(), 0.0);
       cl.in.assign(servers, 0);
       for (net::ServerId s = 0; s < servers; ++s)
-        if (used_count_[s] > 0) {
+        if (used_at(s)) {
           cl.in[s] = 1;
           cl.list.push_back(s);
         }
@@ -479,22 +465,62 @@ const DelaySolution& AnalysisEngine::solve() {
       build_closure(servers, routes_.size(), pending_list_, routes_by_server_,
                     [this](EngineRouteId rid) { return servers_of(rid); },
                     cl);
-      for (const net::ServerId s : cl.list) delay_[s] = 0.0;
+      for (const net::ServerId s : cl.list)
+        for (std::size_t j = 0; j < classes; ++j) delay_[slot(j, s)] = 0.0;
     }
 
-    std::vector<std::span<const net::ServerId>> paths;
-    paths.reserve(cl.routes.size());
-    for (const EngineRouteId rid : cl.routes) paths.push_back(servers_of(rid));
+    // Restricted Jacobi iteration, as in the cold solvers: only closure
+    // servers are iterated, walking only the routes that cross them, with
+    // every other delay held fixed. Early sound deadline-violation exit,
+    // convergence on the max delay change, final route-sum check.
+    std::vector<Seconds> route_delay(cl.routes.size(), 0.0);
+    std::vector<Seconds> upstream(servers * classes, 0.0);
+    for (int iter = 1; iter <= options_.max_iterations; ++iter) {
+      iterations = iter;
+      for (const net::ServerId s : cl.list)
+        for (std::size_t j = 0; j < classes; ++j) upstream[slot(j, s)] = 0.0;
+      bool violated = false;
+      for (std::size_t r = 0; r < cl.routes.size(); ++r) {
+        const std::size_t cls = route_class(cl.routes[r]);
+        Seconds prefix = 0.0;
+        for (const net::ServerId u : servers_of(cl.routes[r])) {
+          const std::size_t k = slot(cls, u);
+          if (cl.in[u]) upstream[k] = std::max(upstream[k], prefix);
+          prefix += delay_[k];
+        }
+        route_delay[r] = prefix;
+        if (prefix > model_.deadline(cls)) violated = true;
+      }
+      if (violated) {
+        status = FeasibilityStatus::kDeadlineViolated;
+        break;
+      }
 
-    const Seconds base = bucket_.burst / bucket_.rate;
-    std::vector<Seconds> route_delay, upstream(servers, 0.0);
-    status = iterate_restricted(
-        cl, paths, [this](std::size_t) { return deadline_; },
-        [this, base](net::ServerId s, Seconds up) {
-          return used_count_[s] > 0 ? beta_[s] * (base + up) : 0.0;
-        },
-        delay_, route_delay, upstream, options_.max_iterations,
-        options_.tolerance, iterations);
+      Seconds max_change = 0.0;
+      for (const net::ServerId s : cl.list)
+        for (std::size_t j = 0; j < classes; ++j) {
+          const std::size_t k = slot(j, s);
+          const Seconds next =
+              used_count_[k] > 0 ? model_.delay(j, s, &upstream[slot(0, s)])
+                                 : 0.0;
+          max_change = std::max(max_change, std::abs(next - delay_[k]));
+          delay_[k] = next;
+        }
+      if (max_change < options_.tolerance) {
+        bool ok = true;
+        for (std::size_t r = 0; r < cl.routes.size(); ++r) {
+          const std::size_t cls = route_class(cl.routes[r]);
+          Seconds total = 0.0;
+          for (const net::ServerId u : servers_of(cl.routes[r]))
+            total += delay_[slot(cls, u)];
+          route_delay[r] = total;
+          ok = ok && total <= model_.deadline(cls);
+        }
+        status = ok ? FeasibilityStatus::kSafe
+                    : FeasibilityStatus::kDeadlineViolated;
+        break;
+      }
+    }
 
     for (std::size_t r = 0; r < cl.routes.size(); ++r)
       routes_[cl.routes[r]].delay = route_delay[r];
@@ -515,8 +541,17 @@ const DelaySolution& AnalysisEngine::solve() {
   return solution_;
 }
 
-void AnalysisEngine::refresh_solution(int iterations) {
-  solution_.server_delay = delay_;
+template <typename Model>
+void EngineCore<Model>::refresh_solution(int iterations) {
+  if constexpr (Model::kOneClass) {
+    solution_.server_delay = delay_;
+  } else {
+    const std::size_t classes = model_.class_count();
+    solution_.class_server_delay.assign(
+        classes, std::vector<Seconds>(graph_->size(), 0.0));
+    for (std::size_t k = 0; k < delay_.size(); ++k)
+      solution_.class_server_delay[k % classes][k / classes] = delay_[k];
+  }
   solution_.route_delay.assign(routes_.size(), 0.0);
   for (EngineRouteId rid = 0; rid < routes_.size(); ++rid)
     if (routes_[rid].active) solution_.route_delay[rid] = routes_[rid].delay;
@@ -524,23 +559,33 @@ void AnalysisEngine::refresh_solution(int iterations) {
   solution_fresh_ = true;
 }
 
-RouteProbe AnalysisEngine::probe_route(std::span<const net::ServerId> route,
-                                       Seconds cutoff) const {
+template <typename Model>
+Seconds EngineCore<Model>::committed_sum(
+    std::size_t cls, std::span<const net::ServerId> route) const {
+  if constexpr (Model::kOneClass) cls = 0;
+  Seconds sum = 0.0;
+  for (const net::ServerId s : route) sum += delay_[slot(cls, s)];
+  return sum;
+}
+
+template <typename Model>
+RouteProbe EngineCore<Model>::probe(std::size_t cls,
+                                    std::span<const net::ServerId> route,
+                                    Seconds cutoff) const {
   UBAC_SPAN_ARG("engine.probe_route", "engine", "hops", route.size());
   if (!solution_fresh_ || poisoned_ || !pending_list_.empty())
     throw std::logic_error(
         "probe_route: engine needs a clean, safely solved committed state");
-  const std::size_t servers = graph_->size();
+  cls = model_.class_of(cls);
   for (const net::ServerId s : route)
-    if (s >= servers)
+    if (s >= graph_->size())
       throw std::out_of_range("probe_route: route references bad server");
 
   // Fast reject: the committed delays are a lower bound of the overlay
   // fixed point, so if their sum along the candidate already breaks the
   // deadline the converged sum must too. O(|route|), no iteration.
-  Seconds lower_bound = 0.0;
-  for (const net::ServerId s : route) lower_bound += delay_[s];
-  if (lower_bound > deadline_) {
+  const Seconds lower_bound = committed_sum(cls, route);
+  if (lower_bound > model_.deadline(cls)) {
     RouteProbe probe;
     probe.status = FeasibilityStatus::kDeadlineViolated;
     probe.route_delay = lower_bound;
@@ -559,15 +604,15 @@ RouteProbe AnalysisEngine::probe_route(std::span<const net::ServerId> route,
   RouteProbe probe;
   std::size_t dirty = 0;
   probe.status =
-      run_frontier(kNoSeeds, route, cutoff, d, touched, touched_delay,
+      run_frontier(kNoSeeds, cls, route, cutoff, d, touched, touched_delay,
                    probe.route_delay, probe.cut, probe.iterations, dirty);
 
   if (!probe.cut) {
     for (std::size_t r = 0; r < touched.size(); ++r)
       if (touched_delay[r] != routes_[touched[r]].delay)
         probe.committed_route_delta.push_back({touched[r], touched_delay[r]});
-    for (net::ServerId s = 0; s < servers; ++s)
-      if (d[s] != delay_[s]) probe.server_delta.push_back({s, d[s]});
+    for (std::size_t k = 0; k < d.size(); ++k)
+      if (d[k] != delay_[k]) probe.server_delta.push_back({k, d[k]});
   }
 
   if (telemetry_.probes) telemetry_.probes->add();
@@ -576,34 +621,74 @@ RouteProbe AnalysisEngine::probe_route(std::span<const net::ServerId> route,
   return probe;
 }
 
-EngineRouteId AnalysisEngine::commit_probe(
-    std::span<const net::ServerId> route, const RouteProbe& probe) {
-  if (!probe.safe())
+template <typename Model>
+EngineRouteId EngineCore<Model>::commit(std::size_t cls,
+                                        std::span<const net::ServerId> route,
+                                        const RouteProbe& accepted) {
+  if (!accepted.safe())
     throw std::invalid_argument("commit_probe: probe is not safe");
   if (!solution_fresh_ || poisoned_ || !pending_list_.empty())
     throw std::logic_error("commit_probe: engine changed since the probe");
-  const EngineRouteId id = store(route, probe.route_delay);
+  cls = model_.class_of(cls);
+  const EngineRouteId id = store(cls, route, accepted.route_delay);
   for (const net::ServerId s : route) {
     routes_by_server_[s].push_back(id);
-    ++used_count_[s];
+    ++used_count_[slot(cls, s)];
   }
   ++active_routes_;
   // Apply the sparse delta to both the committed state and the cached
   // solution — a full refresh_solution would rebuild the per-route vector
   // and make a run of n commits quadratic.
-  for (const auto& [s, v] : probe.server_delta) {
-    delay_[s] = v;
-    solution_.server_delay[s] = v;
+  for (const auto& [k, v] : accepted.server_delta) {
+    delay_[k] = v;
+    if constexpr (Model::kOneClass) {
+      solution_.server_delay[k] = v;
+    } else {
+      const std::size_t classes = model_.class_count();
+      solution_.class_server_delay[k % classes][k / classes] = v;
+    }
   }
-  for (const auto& [rid, v] : probe.committed_route_delta) {
+  for (const auto& [rid, v] : accepted.committed_route_delta) {
     routes_[rid].delay = v;
     solution_.route_delay[rid] = v;
   }
   solution_.route_delay.resize(routes_.size(), 0.0);
-  solution_.route_delay[id] = probe.route_delay;
-  solution_.iterations = probe.iterations;
+  solution_.route_delay[id] = accepted.route_delay;
+  solution_.iterations = accepted.iterations;
   solution_fresh_ = true;
   return id;
+}
+
+template <typename Model>
+Seconds EngineCore<Model>::route_delay(EngineRouteId id) const {
+  if (id >= routes_.size() || !routes_[id].active)
+    throw std::invalid_argument("route_delay: unknown route id");
+  return routes_[id].delay;
+}
+
+template class EngineCore<TwoClassDelay>;
+template class EngineCore<Theorem5Delay>;
+
+}  // namespace detail
+
+// ---------------------------------------------------------------------------
+// AnalysisEngine (Theorem 3) and MulticlassEngine (Theorem 5)
+// ---------------------------------------------------------------------------
+
+AnalysisEngine::AnalysisEngine(const net::ServerGraph& graph, double alpha,
+                               traffic::LeakyBucket bucket, Seconds deadline,
+                               const FixedPointOptions& options)
+    : EngineCore(graph, detail::TwoClassDelay(graph, alpha, bucket, deadline),
+                 options) {}
+
+void AnalysisEngine::set_alpha(double alpha) {
+  if (alpha == model_.alpha()) return;
+  const bool decrease = alpha < model_.alpha();
+  model_.set_alpha(*graph_, alpha);
+  for (net::ServerId s = 0; s < graph_->size(); ++s)
+    if (used_count_[s] > 0 || delay_[s] != 0.0) mark_dirty(s);
+  if (decrease) pending_cold_ = true;
+  solution_fresh_ = false;
 }
 
 AlphaResearch AnalysisEngine::research_alpha(double lo, double hi,
@@ -615,7 +700,7 @@ AlphaResearch AnalysisEngine::research_alpha(double lo, double hi,
   UBAC_SPAN_ARG("engine.research_alpha", "engine", "hi", hi);
 
   AlphaResearch result;
-  result.seed_alpha = alpha_;
+  result.seed_alpha = alpha();
 
   const auto safe_at = [&](double a) {
     set_alpha(a);
@@ -668,374 +753,9 @@ AlphaResearch AnalysisEngine::research_alpha(double lo, double hi,
   return result;
 }
 
-Seconds AnalysisEngine::route_delay(EngineRouteId id) const {
-  if (id >= routes_.size() || !routes_[id].active)
-    throw std::invalid_argument("route_delay: unknown route id");
-  return routes_[id].delay;
-}
-
-// ---------------------------------------------------------------------------
-// MulticlassEngine
-// ---------------------------------------------------------------------------
-
 MulticlassEngine::MulticlassEngine(const net::ServerGraph& graph,
                                    const traffic::ClassSet& classes,
                                    const FixedPointOptions& options)
-    : graph_(&graph),
-      classes_(&classes),
-      options_(options),
-      servers_(graph.size()),
-      num_classes_(classes.size()) {
-  routes_by_server_.resize(servers_);
-  used_count_.assign(num_classes_ * servers_, 0);
-  delay_.assign(num_classes_ * servers_, 0.0);
-  pending_dirty_.assign(servers_, 0);
-  if (options_.metrics) telemetry_ = EngineTelemetry::resolve(*options_.metrics);
-}
-
-void MulticlassEngine::mark_dirty(net::ServerId s) {
-  if (!pending_dirty_[s]) {
-    pending_dirty_[s] = 1;
-    pending_list_.push_back(s);
-  }
-  solution_fresh_ = false;
-}
-
-EngineRouteId MulticlassEngine::add_route(const traffic::Demand& demand,
-                                          const net::ServerPath& route) {
-  if (demand.class_index >= num_classes_ ||
-      !classes_->at(demand.class_index).realtime)
-    throw std::invalid_argument("add_route: demand class must be realtime");
-  for (const net::ServerId s : route)
-    if (s >= servers_)
-      throw std::out_of_range("add_route: route references bad server");
-  EngineRouteId id;
-  if (!free_ids_.empty()) {
-    id = free_ids_.back();
-    free_ids_.pop_back();
-    routes_[id] = RouteEntry{demand, route, 0.0, true};
-  } else {
-    id = routes_.size();
-    routes_.push_back(RouteEntry{demand, route, 0.0, true});
-  }
-  for (const net::ServerId s : route) {
-    routes_by_server_[s].push_back(id);
-    ++used_count_[demand.class_index * servers_ + s];
-    mark_dirty(s);
-  }
-  ++active_routes_;
-  return id;
-}
-
-void MulticlassEngine::remove_route(EngineRouteId id) {
-  if (id >= routes_.size() || !routes_[id].active)
-    throw std::invalid_argument("remove_route: unknown route id");
-  RouteEntry& entry = routes_[id];
-  entry.active = false;
-  for (const net::ServerId s : entry.servers) {
-    std::erase(routes_by_server_[s], id);
-    --used_count_[entry.demand.class_index * servers_ + s];
-    mark_dirty(s);
-  }
-  --active_routes_;
-  free_ids_.push_back(id);
-  pending_cold_ = true;
-}
-
-const MulticlassSolution& MulticlassEngine::solve() {
-  if (solution_fresh_ && pending_list_.empty() && !poisoned_) return solution_;
-
-  Closure cl;
-  const bool warm = !poisoned_ && !pending_cold_;
-  UBAC_SPAN_ARG("engine.solve", "engine", "warm", warm ? 1.0 : 0.0);
-  auto route_path = [this](EngineRouteId rid) {
-    return std::span<const net::ServerId>(routes_[rid].servers);
-  };
-  if (poisoned_) {
-    std::fill(delay_.begin(), delay_.end(), 0.0);
-    cl.in.assign(servers_, 0);
-    for (net::ServerId s = 0; s < servers_; ++s) {
-      for (std::size_t i = 0; i < num_classes_; ++i)
-        if (used_count_[i * servers_ + s] > 0) {
-          cl.in[s] = 1;
-          cl.list.push_back(s);
-          break;
-        }
-    }
-    for (EngineRouteId rid = 0; rid < routes_.size(); ++rid)
-      if (routes_[rid].active) cl.routes.push_back(rid);
-  } else {
-    build_closure(servers_, routes_.size(), pending_list_, routes_by_server_,
-                  route_path, cl);
-    if (pending_cold_)
-      for (const net::ServerId s : cl.list)
-        for (std::size_t i = 0; i < num_classes_; ++i)
-          delay_[i * servers_ + s] = 0.0;
-  }
-
-  // Multi-class restricted iteration (mirrors solve_multiclass, touching
-  // only closure servers and the routes crossing them).
-  std::vector<Seconds> upstream(num_classes_ * servers_, 0.0);
-  std::vector<Seconds> upstream_at_k(num_classes_, 0.0);
-  std::vector<Seconds> route_delay(cl.routes.size(), 0.0);
-  int iterations = 0;
-  FeasibilityStatus status = FeasibilityStatus::kNoConvergence;
-  for (int iter = 1; iter <= options_.max_iterations; ++iter) {
-    iterations = iter;
-    for (const net::ServerId s : cl.list)
-      for (std::size_t i = 0; i < num_classes_; ++i)
-        upstream[i * servers_ + s] = 0.0;
-    bool violated = false;
-    for (std::size_t r = 0; r < cl.routes.size(); ++r) {
-      const RouteEntry& entry = routes_[cl.routes[r]];
-      const std::size_t i = entry.demand.class_index;
-      Seconds prefix = 0.0;
-      for (const net::ServerId u : entry.servers) {
-        if (cl.in[u])
-          upstream[i * servers_ + u] =
-              std::max(upstream[i * servers_ + u], prefix);
-        prefix += delay_[i * servers_ + u];
-      }
-      route_delay[r] = prefix;
-      if (prefix > classes_->at(i).deadline) violated = true;
-    }
-    if (violated) {
-      status = FeasibilityStatus::kDeadlineViolated;
-      break;
-    }
-
-    Seconds max_change = 0.0;
-    for (const net::ServerId s : cl.list) {
-      for (std::size_t l = 0; l < num_classes_; ++l)
-        upstream_at_k[l] = upstream[l * servers_ + s];
-      for (std::size_t i = 0; i < num_classes_; ++i) {
-        if (!classes_->at(i).realtime) continue;
-        Seconds next = 0.0;
-        if (used_count_[i * servers_ + s] > 0)
-          next = theorem5_delay(*classes_, i, graph_->server(s).fan_in,
-                                upstream_at_k);
-        max_change =
-            std::max(max_change, std::abs(next - delay_[i * servers_ + s]));
-        delay_[i * servers_ + s] = next;
-      }
-    }
-    if (max_change < options_.tolerance) {
-      bool ok = true;
-      for (std::size_t r = 0; r < cl.routes.size(); ++r) {
-        const RouteEntry& entry = routes_[cl.routes[r]];
-        const std::size_t i = entry.demand.class_index;
-        Seconds total = 0.0;
-        for (const net::ServerId u : entry.servers)
-          total += delay_[i * servers_ + u];
-        route_delay[r] = total;
-        ok = ok && total <= classes_->at(i).deadline;
-      }
-      status = ok ? FeasibilityStatus::kSafe
-                  : FeasibilityStatus::kDeadlineViolated;
-      break;
-    }
-  }
-
-  for (std::size_t r = 0; r < cl.routes.size(); ++r)
-    routes_[cl.routes[r]].delay = route_delay[r];
-
-  if (telemetry_.dirty_servers)
-    telemetry_.dirty_servers->record(static_cast<double>(cl.list.size()));
-  if (warm && telemetry_.solves_warm) telemetry_.solves_warm->add();
-  if (!warm && telemetry_.solves_cold) telemetry_.solves_cold->add();
-
-  for (const net::ServerId s : pending_list_) pending_dirty_[s] = 0;
-  pending_list_.clear();
-  pending_cold_ = false;
-  solution_.status = status;
-  poisoned_ = status != FeasibilityStatus::kSafe;
-  refresh_solution(iterations);
-  return solution_;
-}
-
-void MulticlassEngine::refresh_solution(int iterations) {
-  solution_.class_server_delay.assign(num_classes_,
-                                      std::vector<Seconds>(servers_, 0.0));
-  for (std::size_t i = 0; i < num_classes_; ++i)
-    for (net::ServerId s = 0; s < servers_; ++s)
-      solution_.class_server_delay[i][s] = delay_[i * servers_ + s];
-  solution_.route_delay.assign(routes_.size(), 0.0);
-  for (EngineRouteId rid = 0; rid < routes_.size(); ++rid)
-    if (routes_[rid].active) solution_.route_delay[rid] = routes_[rid].delay;
-  solution_.iterations = iterations;
-  solution_fresh_ = true;
-}
-
-RouteProbe MulticlassEngine::probe_route(const traffic::Demand& demand,
-                                         const net::ServerPath& route) const {
-  UBAC_SPAN_ARG("engine.probe_route", "engine", "hops", route.size());
-  if (!solution_fresh_ || poisoned_ || !pending_list_.empty())
-    throw std::logic_error(
-        "probe_route: engine needs a clean, safely solved committed state");
-  if (demand.class_index >= num_classes_ ||
-      !classes_->at(demand.class_index).realtime)
-    throw std::invalid_argument("probe_route: demand class must be realtime");
-  for (const net::ServerId s : route)
-    if (s >= servers_)
-      throw std::out_of_range("probe_route: route references bad server");
-
-  // Fast reject on the committed lower bound, as in the two-class probe.
-  {
-    Seconds lower_bound = 0.0;
-    for (const net::ServerId s : route)
-      lower_bound += delay_[demand.class_index * servers_ + s];
-    if (lower_bound > classes_->at(demand.class_index).deadline) {
-      RouteProbe probe;
-      probe.status = FeasibilityStatus::kDeadlineViolated;
-      probe.route_delay = lower_bound;
-      if (telemetry_.probes) telemetry_.probes->add();
-      if (telemetry_.dirty_servers) telemetry_.dirty_servers->record(0.0);
-      return probe;
-    }
-  }
-
-  Closure cl;
-  auto route_path = [this](EngineRouteId rid) {
-    return std::span<const net::ServerId>(routes_[rid].servers);
-  };
-  std::vector<net::ServerId> seeds(route.begin(), route.end());
-  build_closure(servers_, routes_.size(), seeds, routes_by_server_, route_path,
-                cl);
-
-  const std::size_t cand_class = demand.class_index;
-  std::vector<char> on_candidate(servers_, 0);
-  for (const net::ServerId s : route) on_candidate[s] = 1;
-
-  std::vector<Seconds> d = delay_;  // forked view
-  std::vector<Seconds> upstream(num_classes_ * servers_, 0.0);
-  std::vector<Seconds> upstream_at_k(num_classes_, 0.0);
-  std::vector<Seconds> route_delay(cl.routes.size() + 1, 0.0);
-  RouteProbe probe;
-  probe.status = FeasibilityStatus::kNoConvergence;
-  for (int iter = 1; iter <= options_.max_iterations; ++iter) {
-    probe.iterations = iter;
-    for (const net::ServerId s : cl.list)
-      for (std::size_t i = 0; i < num_classes_; ++i)
-        upstream[i * servers_ + s] = 0.0;
-    bool violated = false;
-    auto walk = [&](std::size_t i, const net::ServerPath& path,
-                    std::size_t out_index) {
-      Seconds prefix = 0.0;
-      for (const net::ServerId u : path) {
-        if (cl.in[u])
-          upstream[i * servers_ + u] =
-              std::max(upstream[i * servers_ + u], prefix);
-        prefix += d[i * servers_ + u];
-      }
-      route_delay[out_index] = prefix;
-      if (prefix > classes_->at(i).deadline) violated = true;
-    };
-    for (std::size_t r = 0; r < cl.routes.size(); ++r) {
-      const RouteEntry& entry = routes_[cl.routes[r]];
-      walk(entry.demand.class_index, entry.servers, r);
-    }
-    walk(cand_class, route, cl.routes.size());
-    if (violated) {
-      probe.status = FeasibilityStatus::kDeadlineViolated;
-      break;
-    }
-
-    Seconds max_change = 0.0;
-    for (const net::ServerId s : cl.list) {
-      for (std::size_t l = 0; l < num_classes_; ++l)
-        upstream_at_k[l] = upstream[l * servers_ + s];
-      for (std::size_t i = 0; i < num_classes_; ++i) {
-        if (!classes_->at(i).realtime) continue;
-        const bool used = used_count_[i * servers_ + s] > 0 ||
-                          (i == cand_class && on_candidate[s]);
-        Seconds next = 0.0;
-        if (used)
-          next = theorem5_delay(*classes_, i, graph_->server(s).fan_in,
-                                upstream_at_k);
-        max_change =
-            std::max(max_change, std::abs(next - d[i * servers_ + s]));
-        d[i * servers_ + s] = next;
-      }
-    }
-    if (max_change < options_.tolerance) {
-      bool ok = true;
-      auto total_of = [&](std::size_t i, const net::ServerPath& path,
-                          std::size_t out_index) {
-        Seconds total = 0.0;
-        for (const net::ServerId u : path) total += d[i * servers_ + u];
-        route_delay[out_index] = total;
-        ok = ok && total <= classes_->at(i).deadline;
-      };
-      for (std::size_t r = 0; r < cl.routes.size(); ++r) {
-        const RouteEntry& entry = routes_[cl.routes[r]];
-        total_of(entry.demand.class_index, entry.servers, r);
-      }
-      total_of(cand_class, route, cl.routes.size());
-      probe.status = ok ? FeasibilityStatus::kSafe
-                        : FeasibilityStatus::kDeadlineViolated;
-      break;
-    }
-  }
-  probe.route_delay = route_delay.back();
-
-  for (const net::ServerId s : cl.list)
-    for (std::size_t i = 0; i < num_classes_; ++i) {
-      const std::size_t flat = i * servers_ + s;
-      if (d[flat] != delay_[flat]) probe.server_delta.push_back({flat, d[flat]});
-    }
-  for (std::size_t r = 0; r < cl.routes.size(); ++r)
-    if (route_delay[r] != routes_[cl.routes[r]].delay)
-      probe.committed_route_delta.push_back({cl.routes[r], route_delay[r]});
-
-  if (telemetry_.probes) telemetry_.probes->add();
-  if (telemetry_.dirty_servers)
-    telemetry_.dirty_servers->record(static_cast<double>(cl.list.size()));
-  return probe;
-}
-
-EngineRouteId MulticlassEngine::commit_probe(const traffic::Demand& demand,
-                                             const net::ServerPath& route,
-                                             const RouteProbe& probe) {
-  if (!probe.safe())
-    throw std::invalid_argument("commit_probe: probe is not safe");
-  if (!solution_fresh_ || poisoned_ || !pending_list_.empty())
-    throw std::logic_error("commit_probe: engine changed since the probe");
-  EngineRouteId id;
-  if (!free_ids_.empty()) {
-    id = free_ids_.back();
-    free_ids_.pop_back();
-    routes_[id] = RouteEntry{demand, route, probe.route_delay, true};
-  } else {
-    id = routes_.size();
-    routes_.push_back(RouteEntry{demand, route, probe.route_delay, true});
-  }
-  for (const net::ServerId s : route) {
-    routes_by_server_[s].push_back(id);
-    ++used_count_[demand.class_index * servers_ + s];
-  }
-  ++active_routes_;
-  // Sparse-delta update of state and cached solution, as in
-  // AnalysisEngine::commit_probe (a full refresh would be quadratic over a
-  // run of commits).
-  for (const auto& [flat, v] : probe.server_delta) {
-    delay_[flat] = v;
-    solution_.class_server_delay[flat / servers_][flat % servers_] = v;
-  }
-  for (const auto& [rid, v] : probe.committed_route_delta) {
-    routes_[rid].delay = v;
-    solution_.route_delay[rid] = v;
-  }
-  solution_.route_delay.resize(routes_.size(), 0.0);
-  solution_.route_delay[id] = probe.route_delay;
-  solution_.iterations = probe.iterations;
-  solution_fresh_ = true;
-  return id;
-}
-
-Seconds MulticlassEngine::route_delay(EngineRouteId id) const {
-  if (id >= routes_.size() || !routes_[id].active)
-    throw std::invalid_argument("route_delay: unknown route id");
-  return routes_[id].delay;
-}
+    : EngineCore(graph, detail::Theorem5Delay(graph, classes), options) {}
 
 }  // namespace ubac::analysis

@@ -8,7 +8,7 @@ namespace ubac::analysis {
 
 Seconds theorem5_delay(const traffic::ClassSet& classes,
                        std::size_t class_index, double fan_in,
-                       const std::vector<Seconds>& upstream_per_class) {
+                       std::span<const Seconds> upstream_per_class) {
   if (class_index >= classes.size())
     throw std::out_of_range("theorem5_delay: bad class index");
   const traffic::ServiceClass& cls = classes.at(class_index);

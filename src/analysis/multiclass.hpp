@@ -40,11 +40,16 @@ struct MulticlassSolution {
 };
 
 /// Closed-form Theorem 5 bound for one server given current upstream
-/// delays per class. `cum_share(i)` = sum of real-time shares of classes
-/// 0..i; exposed for tests.
+/// delays per class (one entry per class of `classes`).
 Seconds theorem5_delay(const traffic::ClassSet& classes, std::size_t class_index,
                        double fan_in,
-                       const std::vector<Seconds>& upstream_per_class);
+                       std::span<const Seconds> upstream_per_class);
+inline Seconds theorem5_delay(const traffic::ClassSet& classes,
+                              std::size_t class_index, double fan_in,
+                              const std::vector<Seconds>& upstream_per_class) {
+  return theorem5_delay(classes, class_index, fan_in,
+                        std::span<const Seconds>(upstream_per_class));
+}
 
 /// Solve the multi-class delay system over `demands`/`routes` (aligned
 /// spans; routes at link-server granularity). Demands of best-effort

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <stdexcept>
 
 #include "telemetry/exporters.hpp"
 #include "telemetry/span.hpp"
+#include "util/parse_number.hpp"
 
 namespace ubac::reconfig {
 
@@ -23,7 +25,61 @@ constexpr const char* kOutcomeDryRun = "dry-run";
 constexpr const char* kOutcomeInfeasible = "infeasible";
 constexpr const char* kOutcomeNoChange = "no-change";
 
+/// Parse one double field of a /reconfig POST into `dst`. Returns false
+/// (and fills `error`) on a malformed value; absent fields are skipped.
+bool parse_policy_double(const telemetry::HttpRequest& request,
+                         const char* key, double& dst, std::string& error) {
+  const std::string raw = request.query_get(key);
+  if (raw.empty()) return true;
+  const auto v = util::parse_number<double>(raw);
+  if (!v) {
+    error = std::string("bad ") + key + "\n";
+    return false;
+  }
+  dst = *v;
+  return true;
+}
+
+bool parse_policy_bool(const telemetry::HttpRequest& request, const char* key,
+                       bool& dst, std::string& error) {
+  const std::string raw = request.query_get(key);
+  if (raw.empty()) return true;
+  if (raw == "1" || raw == "true") {
+    dst = true;
+  } else if (raw == "0" || raw == "false") {
+    dst = false;
+  } else {
+    error = std::string("bad ") + key + " (want 0/1/true/false)\n";
+    return false;
+  }
+  return true;
+}
+
 }  // namespace
+
+void ActuationPolicy::validate() const {
+  const auto require = [](bool ok, const char* what) {
+    if (!ok) throw std::invalid_argument(std::string("policy: ") + what);
+  };
+  require(std::isfinite(max_step) && std::isfinite(search_lo) &&
+              std::isfinite(search_hi) && std::isfinite(resolution) &&
+              std::isfinite(min_delta),
+          "values must be finite");
+  require(search_lo >= 0.0 && search_lo <= search_hi && search_hi <= 1.0,
+          "need 0 <= search_lo <= search_hi <= 1");
+  require(resolution > 0.0, "resolution must be > 0");
+  require(min_delta >= 0.0, "min_delta must be >= 0");
+  require(max_step > 0.0, "max_step must be > 0");
+  require(cooldown_ns >= 0, "cooldown must be >= 0");
+}
+
+void ActuationPolicy::set_cooldown_s(double seconds) {
+  // 2^63 ns is exactly representable; anything below it converts.
+  if (!(seconds >= 0.0 && seconds * 1e9 < 0x1p63))
+    throw std::invalid_argument(
+        "policy: cooldown must be finite, >= 0 and below 2^63 ns");
+  cooldown_ns = static_cast<std::int64_t>(seconds * 1e9);
+}
 
 ReconfigurationActuator::ReconfigurationActuator(
     analysis::AnalysisEngine& engine,
@@ -31,6 +87,7 @@ ReconfigurationActuator::ReconfigurationActuator(
     telemetry::AlertEngine& alerts, ActuationPolicy policy, Options options)
     : engine_(&engine), controller_(&controller), alerts_(&alerts),
       options_(options), policy_(policy) {
+  policy_.validate();
   if (options_.metrics != nullptr) {
     telemetry::MetricsRegistry& m = *options_.metrics;
     actuations_applied_ = &m.counter(
@@ -221,6 +278,7 @@ ActuationPolicy ReconfigurationActuator::policy() const {
 }
 
 void ReconfigurationActuator::set_policy(const ActuationPolicy& policy) {
+  policy.validate();
   std::lock_guard<std::mutex> lock(mutex_);
   policy_ = policy;
 }
@@ -303,6 +361,32 @@ std::string ReconfigurationActuator::to_json() const {
   }
   out += "\n]}";
   return out;
+}
+
+telemetry::HttpResponse reconfig_route(ReconfigurationActuator& actuator,
+                                       const telemetry::HttpRequest& request) {
+  if (request.method == "POST") {
+    ActuationPolicy p = actuator.policy();
+    std::string error;
+    double cooldown_s = 0.0;  // applied only when given
+    if (!parse_policy_bool(request, "enabled", p.enabled, error) ||
+        !parse_policy_bool(request, "dry_run", p.dry_run, error) ||
+        !parse_policy_double(request, "cooldown_s", cooldown_s, error) ||
+        !parse_policy_double(request, "max_step", p.max_step, error) ||
+        !parse_policy_double(request, "search_lo", p.search_lo, error) ||
+        !parse_policy_double(request, "search_hi", p.search_hi, error) ||
+        !parse_policy_double(request, "resolution", p.resolution, error) ||
+        !parse_policy_double(request, "min_delta", p.min_delta, error))
+      return telemetry::HttpResponse::text(error, 400);
+    try {
+      if (!request.query_get("cooldown_s").empty())
+        p.set_cooldown_s(cooldown_s);
+      actuator.set_policy(p);
+    } catch (const std::invalid_argument& e) {
+      return telemetry::HttpResponse::text(std::string(e.what()) + "\n", 400);
+    }
+  }
+  return telemetry::HttpResponse::json(actuator.to_json());
 }
 
 }  // namespace ubac::reconfig

@@ -49,6 +49,7 @@
 #include "analysis/engine.hpp"
 #include "telemetry/alerts.hpp"
 #include "telemetry/event_trace.hpp"
+#include "telemetry/http_endpoint.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace ubac::reconfig {
@@ -67,6 +68,14 @@ struct ActuationPolicy {
   double search_hi = 0.95;
   double resolution = 1e-3;  ///< bisection resolution of the re-search
   double min_delta = 1e-4;   ///< proposals smaller than this are no-ops
+
+  /// Throws std::invalid_argument unless every value is finite,
+  /// 0 <= search_lo <= search_hi <= 1, resolution > 0, min_delta >= 0,
+  /// max_step > 0 and cooldown_ns >= 0.
+  void validate() const;
+  /// Sets cooldown_ns; throws std::invalid_argument unless `seconds` is
+  /// finite, >= 0 and fits in int64 nanoseconds.
+  void set_cooldown_s(double seconds);
 };
 
 /// One actuation attempt, newest kept in a bounded history for /reconfig.
@@ -96,7 +105,8 @@ class ReconfigurationActuator {
   };
 
   /// All referenced objects must outlive the actuator; `engine` becomes
-  /// actuator-owned for mutation (see file comment).
+  /// actuator-owned for mutation (see file comment). Throws
+  /// std::invalid_argument on an invalid policy.
   ReconfigurationActuator(analysis::AnalysisEngine& engine,
                           admission::ConcurrentAdmissionController& controller,
                           telemetry::AlertEngine& alerts,
@@ -114,6 +124,7 @@ class ReconfigurationActuator {
   void on_tick();
 
   ActuationPolicy policy() const;
+  /// Throws std::invalid_argument on an invalid policy, keeping the old.
   void set_policy(const ActuationPolicy& policy);
 
   std::uint64_t actuations() const;        ///< ledger swaps applied
@@ -167,5 +178,12 @@ class ReconfigurationActuator {
   telemetry::Counter* shed_flows_metric_ = nullptr;
   telemetry::Gauge* alpha_gauge_ = nullptr;
 };
+
+/// The /reconfig route (docs/observability.md): answers to_json(), after a
+/// POST has set any of enabled, dry_run, cooldown_s, max_step, search_lo,
+/// search_hi, resolution and min_delta. A malformed value or a resulting
+/// policy that validate() rejects answers 400 and keeps the old policy.
+telemetry::HttpResponse reconfig_route(ReconfigurationActuator& actuator,
+                                       const telemetry::HttpRequest& request);
 
 }  // namespace ubac::reconfig

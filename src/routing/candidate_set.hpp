@@ -13,6 +13,7 @@
 #include <span>
 #include <vector>
 
+#include "routing/multiclass_selection.hpp"
 #include "routing/route_selection.hpp"
 
 namespace ubac::util {
@@ -76,6 +77,12 @@ class CandidateSet {
 RouteSelectionResult select_routes_heuristic(
     const net::ServerGraph& graph, double alpha,
     const traffic::LeakyBucket& bucket, Seconds deadline,
+    const std::vector<traffic::Demand>& demands,
+    const HeuristicOptions& options, const CandidateSet& candidates);
+
+/// The multi-class heuristic over a prebuilt candidate set, likewise.
+MulticlassSelectionResult select_routes_multiclass(
+    const net::ServerGraph& graph, const traffic::ClassSet& classes,
     const std::vector<traffic::Demand>& demands,
     const HeuristicOptions& options, const CandidateSet& candidates);
 

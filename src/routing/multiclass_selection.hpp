@@ -9,12 +9,15 @@
 /// assignments of classes against each other." This module implements
 /// those variations:
 ///
-///  * select_routes_multiclass — the no-backtrack heuristic with
-///    Theorem 5 verification: demands of all real-time classes are routed
-///    together (priority classes first, then decreasing distance);
+///  * select_routes_multiclass — the Section 5.2 heuristic itself
+///    (route_selection.cpp: the same candidate set, pruning, cut-off
+///    probes and engine) with MulticlassEngine, i.e. Theorem 5
+///    verification: demands of all real-time classes are routed together,
+///    higher-priority class first, then by decreasing distance;
 ///  * maximize_share_scale — binary search on a common scale factor
 ///    applied to a vector of per-class share weights, the multi-class
-///    analogue of maximizing alpha.
+///    analogue of maximizing alpha. It builds the candidate set once and
+///    shares it across every probe.
 
 #include <string>
 #include <vector>
@@ -26,18 +29,12 @@
 
 namespace ubac::routing {
 
-struct MulticlassSelectionResult {
-  bool success = false;
-  std::vector<net::NodePath> routes;        ///< aligned with demands
-  std::vector<net::ServerPath> server_routes;
-  std::size_t failed_demand = kNoFailedDemand;
-  analysis::MulticlassSolution solution;    ///< for the committed set
-};
+using MulticlassSelectionResult = SelectionResult<analysis::MulticlassSolution>;
 
 /// Section 5.2 heuristic with Theorem 5 verification. Demands may belong
-/// to any real-time class of `classes`. Rules and knobs are the same as
-/// the two-class heuristic; pairs are processed higher-priority-class
-/// first, then by decreasing shortest-path distance.
+/// to any real-time class of `classes`. Rules and options are the same as
+/// the two-class heuristic's; pairs are processed higher-priority class
+/// first, then in the two-class order.
 MulticlassSelectionResult select_routes_multiclass(
     const net::ServerGraph& graph, const traffic::ClassSet& classes,
     const std::vector<traffic::Demand>& demands,

@@ -29,19 +29,25 @@ void check_demands(const net::Topology& topo,
   }
 }
 
-/// Shared core of the Section 5.2 heuristic: route `demands` one by one,
-/// never disturbing `pinned` routes. Candidates come from `shared` when
-/// given (a search over alpha builds them once), else are built here.
-/// Returns routes aligned with `demands`; the final solution covers
-/// pinned + demands in that order.
-RouteSelectionResult heuristic_core(
-    const net::ServerGraph& graph, double alpha,
-    const traffic::LeakyBucket& bucket, Seconds deadline,
-    const std::vector<net::ServerPath>& pinned,
+/// Shared core of the Section 5.2 heuristic under either delay model:
+/// route `demands` one by one on `engine`, never disturbing `pinned`
+/// routes (class 0; only the two-class renegotiation pins any).
+/// Candidates come from `shared` when given (a search builds them once),
+/// else are built here. `verify` re-solves the committed routes of
+/// `demands` cold. Returns routes aligned with `demands`.
+template <typename Engine, typename Verify>
+SelectionResult<typename Engine::Solution> heuristic_core(
+    Engine& engine, const std::vector<net::ServerPath>& pinned,
     const std::vector<traffic::Demand>& demands,
-    const HeuristicOptions& options, const detail::CandidateSet* shared) {
+    const HeuristicOptions& options, const detail::CandidateSet* shared,
+    const Verify& verify) {
+  const net::ServerGraph& graph = engine.graph();
   const net::Topology& topo = graph.topology();
   check_demands(topo, demands);
+  // The engine's class of each demand: 0 throughout under Theorem 3.
+  std::vector<std::size_t> cls(demands.size());
+  for (std::size_t d = 0; d < demands.size(); ++d)
+    cls[d] = engine.class_of(demands[d]);
   std::optional<detail::CandidateSet> own;
   const detail::CandidateSet& candidates =
       shared != nullptr
@@ -49,46 +55,47 @@ RouteSelectionResult heuristic_core(
           : own.emplace(graph, demands, options.candidates_per_pair,
                         options.candidates);
 
-  RouteSelectionResult result;
+  SelectionResult<typename Engine::Solution> result;
   result.routes.assign(demands.size(), {});
   result.server_routes.assign(demands.size(), {});
 
   // The engine owns the committed scenario: pinned routes first, then the
   // winner of every pair. Candidate evaluations are incremental probes
   // against it instead of cold re-solves of the whole set.
-  analysis::AnalysisEngine engine(graph, alpha, bucket, deadline,
-                                  options.fixed_point);
-  for (const auto& route : pinned) engine.add_route(route);
+  for (const auto& route : pinned) engine.add(0, route);
 
-  // The pinned set must itself be feasible at alpha before we extend it
-  // (this first solve is the engine's cold baseline either way).
-  const analysis::DelaySolution& pinned_solution = engine.solve();
+  // The pinned set must itself be feasible before we extend it (this
+  // first solve is the engine's cold baseline either way).
+  const auto& pinned_solution = engine.solve();
   if (!pinned_solution.safe()) {
     result.solution = pinned_solution;
     return result;
   }
 
-  // Rule (1): order pairs by decreasing shortest-path distance. A
-  // non-zero jitter seed randomizes the order among equal distances
-  // (restart support); the sort key then drops the (src, dst) tiebreak.
+  // Rule (1), class by class in priority order: pairs by decreasing
+  // shortest-path distance, then (src, dst). A non-zero jitter seed
+  // randomizes the order among equal distances (restart support); the
+  // sort key then drops the (src, dst) tiebreak.
   std::vector<std::size_t> order(demands.size());
   std::iota(order.begin(), order.end(), 0);
   if (options.order_jitter_seed != 0) {
     util::Xoshiro256 rng(options.order_jitter_seed);
     rng.shuffle(order);
   }
-  if (options.order_by_distance) {
-    const auto hops = net::all_pairs_hops(topo);
-    std::stable_sort(order.begin(), order.end(), [&](std::size_t a,
-                                                     std::size_t b) {
-      const int da = hops[demands[a].src][demands[a].dst];
-      const int db = hops[demands[b].src][demands[b].dst];
-      if (da != db) return da > db;
-      if (options.order_jitter_seed != 0) return false;  // keep shuffle
-      if (demands[a].src != demands[b].src) return demands[a].src < demands[b].src;
-      return demands[a].dst < demands[b].dst;
-    });
-  }
+  const auto hops = options.order_by_distance
+                        ? net::all_pairs_hops(topo)
+                        : std::vector<std::vector<int>>{};
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a,
+                                                   std::size_t b) {
+    if (cls[a] != cls[b]) return cls[a] < cls[b];
+    if (!options.order_by_distance) return false;
+    const int da = hops[demands[a].src][demands[a].dst];
+    const int db = hops[demands[b].src][demands[b].dst];
+    if (da != db) return da > db;
+    if (options.order_jitter_seed != 0) return false;  // keep shuffle
+    if (demands[a].src != demands[b].src) return demands[a].src < demands[b].src;
+    return demands[a].dst < demands[b].dst;
+  });
 
   RouteDependencyGraph dependency(graph.size());
   for (const auto& route : pinned) dependency.add_route(route);
@@ -102,6 +109,7 @@ RouteSelectionResult heuristic_core(
   for (std::size_t rank = 0; rank < order.size(); ++rank) {
     const std::size_t demand_index = order[rank];
     const traffic::Demand& demand = demands[demand_index];
+    const std::size_t demand_class = cls[demand_index];
     // A cancelled speculative run gives up here; nobody reads its result.
     if (detail::stop_requested()) {
       result.failed_demand = demand_index;
@@ -144,15 +152,15 @@ RouteSelectionResult heuristic_core(
         // the best's *converged* delay it cannot win the strict
         // comparison. The same argument cuts a probe off once one of its
         // sweeps reaches that delay. Same winner as probing everything.
-        const std::vector<Seconds>& committed = engine.server_delays();
         for (const std::size_t c : group) {
-          Seconds bound = 0.0;
-          for (const net::ServerId s : servers_of(c)) bound += committed[s];
-          if (best.found && bound >= best.own_delay) continue;
-          analysis::RouteProbe probe = engine.probe_route(
-              servers_of(c), best.found
-                                 ? best.own_delay
-                                 : std::numeric_limits<Seconds>::infinity());
+          if (best.found &&
+              engine.committed_sum(demand_class, servers_of(c)) >=
+                  best.own_delay)
+            continue;
+          analysis::RouteProbe probe = engine.probe(
+              demand_class, servers_of(c),
+              best.found ? best.own_delay
+                         : std::numeric_limits<Seconds>::infinity());
           if (!probe.safe()) continue;
           if (!best.found || probe.route_delay < best.own_delay) {
             best.found = true;
@@ -165,7 +173,8 @@ RouteSelectionResult heuristic_core(
         // Rule (3) off => the first feasible candidate wins; stop probing
         // at the first success.
         for (const std::size_t c : group) {
-          analysis::RouteProbe probe = engine.probe_route(servers_of(c));
+          analysis::RouteProbe probe =
+              engine.probe(demand_class, servers_of(c));
           if (!probe.safe()) continue;
           best.found = true;
           best.candidate = c;
@@ -184,7 +193,7 @@ RouteSelectionResult heuristic_core(
       result.failed_demand = demand_index;
       UBAC_LOG_DEBUG << "heuristic: no safe route for demand " << demand_index
                      << " (" << topo.node_name(demand.src) << "->"
-                     << topo.node_name(demand.dst) << ") at alpha=" << alpha;
+                     << topo.node_name(demand.dst) << ")";
       return result;
     }
 
@@ -193,32 +202,57 @@ RouteSelectionResult heuristic_core(
     result.routes[demand_index].assign(nodes.begin(), nodes.end());
     result.server_routes[demand_index].assign(servers.begin(), servers.end());
     dependency.add_route(result.server_routes[demand_index]);
-    engine.commit_probe(servers, best.probe);
+    engine.commit(demand_class, servers, best.probe);
   }
 
-  // Final cold verification of the committed set (pinned first, then new
-  // routes in input-demand order).
+  // Final cold verification of the committed set.
   UBAC_SPAN_ARG("route.final_verify", "routing", "routes",
                 pinned.size() + result.server_routes.size());
-  if (pinned.empty()) {
-    result.solution = analysis::solve_two_class(
-        graph, alpha, bucket, deadline, result.server_routes,
-        options.fixed_point);
-  } else {
-    std::vector<net::ServerPath> all = pinned;
-    all.insert(all.end(), result.server_routes.begin(),
-               result.server_routes.end());
-    result.solution = analysis::solve_two_class(graph, alpha, bucket, deadline,
-                                                all, options.fixed_point);
-  }
+  result.solution = verify(result.server_routes);
   result.success = result.solution.safe();
   if (!result.success) {
     // Should not happen (cold solve of the same set the warm solves
     // accepted); surface loudly if it ever does.
-    UBAC_LOG_WARN << "heuristic: committed set failed final verification at "
-                     "alpha=" << alpha;
+    UBAC_LOG_WARN << "heuristic: committed set failed final verification";
   }
   return result;
+}
+
+/// The heuristic under Theorem 3 at `alpha`; the final verification
+/// covers pinned + new routes in that order.
+RouteSelectionResult two_class_heuristic(
+    const net::ServerGraph& graph, double alpha,
+    const traffic::LeakyBucket& bucket, Seconds deadline,
+    const std::vector<net::ServerPath>& pinned,
+    const std::vector<traffic::Demand>& demands,
+    const HeuristicOptions& options, const detail::CandidateSet* shared) {
+  analysis::AnalysisEngine engine(graph, alpha, bucket, deadline,
+                                  options.fixed_point);
+  return heuristic_core(
+      engine, pinned, demands, options, shared,
+      [&](const std::vector<net::ServerPath>& routes) {
+        if (pinned.empty())
+          return analysis::solve_two_class(graph, alpha, bucket, deadline,
+                                           routes, options.fixed_point);
+        std::vector<net::ServerPath> all = pinned;
+        all.insert(all.end(), routes.begin(), routes.end());
+        return analysis::solve_two_class(graph, alpha, bucket, deadline, all,
+                                         options.fixed_point);
+      });
+}
+
+/// The heuristic under Theorem 5 for the shares of `classes`.
+MulticlassSelectionResult multiclass_heuristic(
+    const net::ServerGraph& graph, const traffic::ClassSet& classes,
+    const std::vector<traffic::Demand>& demands,
+    const HeuristicOptions& options, const detail::CandidateSet* shared) {
+  analysis::MulticlassEngine engine(graph, classes, options.fixed_point);
+  return heuristic_core(
+      engine, {}, demands, options, shared,
+      [&](const std::vector<net::ServerPath>& routes) {
+        return analysis::solve_multiclass(graph, classes, demands, routes,
+                                          options.fixed_point);
+      });
 }
 
 }  // namespace
@@ -254,8 +288,8 @@ RouteSelectionResult select_routes_heuristic(
     const traffic::LeakyBucket& bucket, Seconds deadline,
     const std::vector<traffic::Demand>& demands,
     const HeuristicOptions& options) {
-  return heuristic_core(graph, alpha, bucket, deadline, {}, demands, options,
-                        nullptr);
+  return two_class_heuristic(graph, alpha, bucket, deadline, {}, demands,
+                             options, nullptr);
 }
 
 RouteSelectionResult select_routes_heuristic_restarts(
@@ -270,8 +304,8 @@ RouteSelectionResult select_routes_heuristic_restarts(
     HeuristicOptions attempt = options;
     // Restart 0 keeps the caller's (usually deterministic) order.
     if (r > 0) attempt.order_jitter_seed = options.order_jitter_seed + r;
-    last = heuristic_core(graph, alpha, bucket, deadline, {}, demands,
-                          attempt, nullptr);
+    last = two_class_heuristic(graph, alpha, bucket, deadline, {}, demands,
+                               attempt, nullptr);
     if (last.success) return last;
   }
   return last;
@@ -283,8 +317,8 @@ RouteSelectionResult select_routes_heuristic_incremental(
     const std::vector<net::ServerPath>& pinned,
     const std::vector<traffic::Demand>& new_demands,
     const HeuristicOptions& options) {
-  return heuristic_core(graph, alpha, bucket, deadline, pinned, new_demands,
-                        options, nullptr);
+  return two_class_heuristic(graph, alpha, bucket, deadline, pinned,
+                             new_demands, options, nullptr);
 }
 
 RouteSelectionResult detail::select_routes_heuristic(
@@ -292,8 +326,22 @@ RouteSelectionResult detail::select_routes_heuristic(
     const traffic::LeakyBucket& bucket, Seconds deadline,
     const std::vector<traffic::Demand>& demands,
     const HeuristicOptions& options, const CandidateSet& candidates) {
-  return heuristic_core(graph, alpha, bucket, deadline, {}, demands, options,
-                        &candidates);
+  return two_class_heuristic(graph, alpha, bucket, deadline, {}, demands,
+                             options, &candidates);
+}
+
+MulticlassSelectionResult select_routes_multiclass(
+    const net::ServerGraph& graph, const traffic::ClassSet& classes,
+    const std::vector<traffic::Demand>& demands,
+    const HeuristicOptions& options) {
+  return multiclass_heuristic(graph, classes, demands, options, nullptr);
+}
+
+MulticlassSelectionResult detail::select_routes_multiclass(
+    const net::ServerGraph& graph, const traffic::ClassSet& classes,
+    const std::vector<traffic::Demand>& demands,
+    const HeuristicOptions& options, const CandidateSet& candidates) {
+  return multiclass_heuristic(graph, classes, demands, options, &candidates);
 }
 
 bool detail::stop_requested() {

@@ -55,7 +55,11 @@ struct HeuristicOptions {
 inline constexpr std::size_t kNoFailedDemand =
     std::numeric_limits<std::size_t>::max();
 
-struct RouteSelectionResult {
+/// One route per demand and the verification of the committed set, for
+/// either delay model (RouteSelectionResult: Theorem 3;
+/// MulticlassSelectionResult: Theorem 5).
+template <typename Solution>
+struct SelectionResult {
   bool success = false;
   /// Routes aligned with the input demand order (empty paths when failed).
   std::vector<net::NodePath> routes;
@@ -63,8 +67,10 @@ struct RouteSelectionResult {
   /// Index (into the input demands) of the first pair with no safe route.
   std::size_t failed_demand = kNoFailedDemand;
   /// Delay solution for the committed route set (valid when success).
-  analysis::DelaySolution solution;
+  Solution solution;
 };
+
+using RouteSelectionResult = SelectionResult<analysis::DelaySolution>;
 
 /// Shortest-path baseline: route every demand on its hop-count shortest
 /// path, then verify the whole set at `alpha`.

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
 #include "telemetry/exporters.hpp"
+#include "util/parse_number.hpp"
 
 namespace ubac::telemetry {
 
@@ -253,14 +253,13 @@ bool parse_budget_labels(const MetricSample& sample,
     if (key == "controller" && value == controller) {
       ours = true;
     } else if (key == "server" || key == "class") {
-      char* end = nullptr;
-      const unsigned long parsed = std::strtoul(value.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0') return false;
+      const auto parsed = util::parse_number<std::uint32_t>(value);
+      if (!parsed) return false;
       if (key == "server") {
-        server = static_cast<std::uint32_t>(parsed);
+        server = *parsed;
         has_server = true;
       } else {
-        class_index = static_cast<std::uint32_t>(parsed);
+        class_index = *parsed;
         has_class = true;
       }
     }

@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "telemetry/alerts.hpp"
 #include "telemetry/event_trace.hpp"
 #include "telemetry/http_endpoint.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/span.hpp"
+#include "util/parse_number.hpp"
 
 namespace ubac::telemetry {
 namespace {
@@ -410,15 +410,12 @@ void install_conformance_routes(HttpEndpoint& endpoint,
     return HttpResponse::json(monitor.to_json());
   });
   endpoint.handle("/conformance/flows", [&monitor](const HttpRequest& req) {
-    std::size_t top = 0;
     const std::string raw = req.query_get("top");
-    if (!raw.empty()) {
-      const long long parsed = std::strtoll(raw.c_str(), nullptr, 10);
-      if (parsed < 0)
-        return HttpResponse::text("top must be non-negative\n", 400);
-      top = static_cast<std::size_t>(parsed);
-    }
-    return HttpResponse::json(monitor.flows_to_json(top));
+    const auto top = raw.empty() ? std::optional<std::size_t>(0)
+                                 : util::parse_number<std::size_t>(raw);
+    if (!top)
+      return HttpResponse::text("top must be a non-negative integer\n", 400);
+    return HttpResponse::json(monitor.flows_to_json(*top));
   });
 }
 

@@ -9,8 +9,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
-#include <charconv>
-#include <cmath>
 #include <cstring>
 #include <optional>
 #include <stdexcept>
@@ -20,6 +18,7 @@
 #include "telemetry/alerts.hpp"
 #include "telemetry/exporters.hpp"
 #include "telemetry/timeseries.hpp"
+#include "util/parse_number.hpp"
 
 namespace ubac::telemetry {
 
@@ -96,19 +95,6 @@ bool parse_request_line(const std::string& line, HttpRequest& request) {
   return !request.method.empty() && !request.path.empty();
 }
 
-/// All of `text` as a T: nullopt when empty, malformed, trailed by
-/// anything, out of range or not finite. Unsigned types take no sign.
-template <class T>
-std::optional<T> parse_exact(std::string_view text) {
-  T value{};
-  const char* last = text.data() + text.size();
-  const auto [end, ec] = std::from_chars(text.data(), last, value);
-  if (ec != std::errc() || end != last) return std::nullopt;
-  if constexpr (std::is_floating_point_v<T>)
-    if (!std::isfinite(value)) return std::nullopt;
-  return value;
-}
-
 /// Content-Length from the header lines after the request line: 0 when
 /// absent, nullopt when it is not a plain decimal count or when two of
 /// them disagree.
@@ -128,7 +114,7 @@ std::optional<std::size_t> parse_content_length(const std::string& head) {
         value.remove_prefix(1);
       while (!value.empty() && (value.back() == ' ' || value.back() == '\t'))
         value.remove_suffix(1);
-      const auto n = parse_exact<std::size_t>(value);
+      const auto n = util::parse_number<std::size_t>(value);
       if (!n || (length && *length != *n)) return std::nullopt;
       length = n;
     }
@@ -371,7 +357,7 @@ void install_standard_routes(HttpEndpoint& endpoint,
     std::size_t window = 0;
     const std::string window_arg = request.query_get("window");
     if (!window_arg.empty()) {
-      const auto parsed = parse_exact<std::size_t>(window_arg);
+      const auto parsed = util::parse_number<std::size_t>(window_arg);
       if (!parsed) return HttpResponse::text("bad window\n", 400);
       window = *parsed;
     }
@@ -397,8 +383,8 @@ void install_standard_routes(HttpEndpoint& endpoint,
       const auto parse = [&](const char* key, auto& out) {
         const std::string arg = request.query_get(key);
         if (arg.empty()) return true;
-        out = parse_exact<typename std::decay_t<decltype(out)>::value_type>(
-            arg);
+        out = util::parse_number<
+            typename std::decay_t<decltype(out)>::value_type>(arg);
         any = any || out.has_value();
         return out.has_value();
       };

@@ -1,33 +1,23 @@
 #include "util/cli.hpp"
 
-#include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <stdexcept>
-#include <type_traits>
+
+#include "util/parse_number.hpp"
 
 namespace ubac::util {
 
 namespace {
 
-/// All of `text` as a finite T; throws std::invalid_argument naming --key
-/// on an empty, malformed, trailing-garbage or out-of-range value.
+/// All of `text` as a T; throws std::invalid_argument naming --key
+/// otherwise.
 template <class T>
-T parse_number(const std::string& key, const std::string& text,
-               const char* expected) {
-  T value{};
-  const char* last = text.data() + text.size();
-  const auto [end, ec] = std::from_chars(text.data(), last, value);
-  bool out_of_range = ec == std::errc::result_out_of_range;
-  if constexpr (std::is_floating_point_v<T>)
-    out_of_range = out_of_range || (ec == std::errc() && !std::isfinite(value));
-  if (out_of_range)
-    throw std::invalid_argument("--" + key + ": value '" + text +
-                                "' is out of range");
-  if (ec != std::errc() || end != last)
-    throw std::invalid_argument("--" + key + ": expected " + expected +
-                                ", got '" + text + "'");
-  return value;
+T number_or_throw(const std::string& key, const std::string& text,
+                  const char* expected) {
+  if (const auto value = parse_number<T>(text)) return *value;
+  throw std::invalid_argument("--" + key + ": expected " + expected +
+                              ", got '" + text +
+                              "' (malformed or out of range)");
 }
 
 }  // namespace
@@ -81,13 +71,13 @@ std::string ArgParser::get(const std::string& key,
 double ArgParser::get_double(const std::string& key, double def) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return def;
-  return parse_number<double>(key, it->second, "a number");
+  return number_or_throw<double>(key, it->second, "a finite number");
 }
 
 long ArgParser::get_long(const std::string& key, long def) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return def;
-  return parse_number<long>(key, it->second, "an integer");
+  return number_or_throw<long>(key, it->second, "an integer");
 }
 
 bool ArgParser::get_bool(const std::string& key, bool def) const {

@@ -148,6 +148,49 @@ void expect_same_probe(const RouteProbe& a, const RouteProbe& b) {
   EXPECT_EQ(a.committed_route_delta, b.committed_route_delta);
 }
 
+/// Probe `route` (class `cls`) on a safely solved `engine` uncut and at
+/// cutoffs from 0 to +inf: a probe that is not cut is the uncut probe, and
+/// a cut one stopped at or above its cutoff without passing the uncut
+/// delay. Counts cut and kept probes.
+template <typename Engine>
+void expect_cut_probes_sound(const Engine& engine, std::size_t cls,
+                             const net::ServerPath& route, int& cuts,
+                             int& kept) {
+  const RouteProbe uncut = engine.probe(cls, route);
+  EXPECT_FALSE(uncut.cut);
+  const Seconds lower_bound = engine.committed_sum(cls, route);
+  const Seconds full = uncut.route_delay;
+  for (const Seconds cutoff :
+       {0.0, lower_bound, 0.5 * full, 0.9 * full, 0.999 * full, full,
+        std::nextafter(full, std::numeric_limits<Seconds>::infinity()),
+        1.1 * full, std::numeric_limits<Seconds>::infinity()}) {
+    SCOPED_TRACE(::testing::Message() << "cutoff/full=" << cutoff / full);
+    const RouteProbe probe = engine.probe(cls, route, cutoff);
+    if (!probe.cut) {
+      ++kept;
+      expect_same_probe(probe, uncut);
+      continue;
+    }
+    ++cuts;
+    EXPECT_GE(full, cutoff);
+    EXPECT_GE(probe.route_delay, cutoff);
+    EXPECT_LE(probe.route_delay, full);  // a sweep sum, never past it
+    EXPECT_EQ(probe.status, FeasibilityStatus::kNoConvergence);
+    EXPECT_TRUE(probe.server_delta.empty());
+    EXPECT_TRUE(probe.committed_route_delta.empty());
+  }
+  // Reaching the cutoff is enough: a safe probe is cut at its own delay
+  // and runs to the end just above it.
+  if (uncut.safe()) {
+    EXPECT_TRUE(engine.probe(cls, route, full).cut);
+    expect_same_probe(
+        engine.probe(cls, route,
+                     std::nextafter(full,
+                                    std::numeric_limits<Seconds>::infinity())),
+        uncut);
+  }
+}
+
 TEST(EngineEquivalence, CutProbeIsTheUncutProbeOrLosesToItsCutoff) {
   int cuts = 0, kept = 0;
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
@@ -164,47 +207,50 @@ TEST(EngineEquivalence, CutProbeIsTheUncutProbeOrLosesToItsCutoff) {
     if (!engine.solve().safe()) continue;
 
     for (int p = 0; p < 6; ++p) {
-      const auto route = random_route(topo, graph, rng);
-      const RouteProbe uncut = engine.probe_route(route);
-      EXPECT_FALSE(uncut.cut);
-      Seconds lower_bound = 0.0;
-      for (const net::ServerId s : route) lower_bound += engine.server_delays()[s];
-      const Seconds full = uncut.route_delay;
-      for (const Seconds cutoff :
-           {0.0, lower_bound, 0.5 * full, 0.9 * full, 0.999 * full, full,
-            std::nextafter(full, std::numeric_limits<Seconds>::infinity()),
-            1.1 * full, std::numeric_limits<Seconds>::infinity()}) {
-        SCOPED_TRACE(::testing::Message()
-                     << "seed=" << seed << " probe=" << p
-                     << " cutoff/full=" << cutoff / full);
-        const RouteProbe probe = engine.probe_route(route, cutoff);
-        if (!probe.cut) {
-          ++kept;
-          expect_same_probe(probe, uncut);
-          continue;
-        }
-        ++cuts;
-        EXPECT_GE(full, cutoff);
-        EXPECT_GE(probe.route_delay, cutoff);
-        EXPECT_LE(probe.route_delay, full);  // a sweep sum, never past it
-        EXPECT_EQ(probe.status, FeasibilityStatus::kNoConvergence);
-        EXPECT_TRUE(probe.server_delta.empty());
-        EXPECT_TRUE(probe.committed_route_delta.empty());
-      }
-      // Reaching the cutoff is enough: a safe probe is cut at its own
-      // delay and runs to the end just above it.
-      if (uncut.safe()) {
-        EXPECT_TRUE(engine.probe_route(route, full).cut) << "seed=" << seed;
-        expect_same_probe(
-            engine.probe_route(
-                route,
-                std::nextafter(full, std::numeric_limits<Seconds>::infinity())),
-            uncut);
-      }
+      SCOPED_TRACE(::testing::Message() << "seed=" << seed << " probe=" << p);
+      expect_cut_probes_sound(engine, 0, random_route(topo, graph, rng), cuts,
+                              kept);
     }
   }
   EXPECT_GT(cuts, 100);
   EXPECT_GT(kept, 100);
+
+  // The same probes under the Theorem 5 model, two and three real-time
+  // classes, each probe of a random class.
+  int mc_cuts = 0, mc_kept = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    util::Xoshiro256 rng(seed);
+    const auto topo =
+        net::random_connected(10 + rng.uniform_index(6), 3.0, seed * 37 + 11);
+    const net::ServerGraph graph(topo, 6u);
+    std::vector<routing::ClassTemplate> templates{
+        {"voice", kVoice, milliseconds(100), 1.0},
+        {"video", LeakyBucket(16000.0, mbps(1)), milliseconds(200), 1.0}};
+    if (seed % 2 == 0)
+      templates.push_back(
+          {"data", LeakyBucket(4000.0, kbps(256)), milliseconds(150), 0.5});
+    const auto classes =
+        routing::scaled_class_set(templates, 0.05 + 0.15 * rng.uniform());
+    MulticlassEngine engine(graph, classes);
+    const int routes = 4 + static_cast<int>(rng.uniform_index(9));
+    for (int r = 0; r < routes; ++r) {
+      const auto route = random_route(topo, graph, rng);
+      engine.add_route({route.front(), route.back(),
+                        rng.uniform_index(templates.size())},
+                       route);
+    }
+    if (!engine.solve().safe()) continue;
+
+    for (int p = 0; p < 6; ++p) {
+      SCOPED_TRACE(::testing::Message()
+                   << "multiclass seed=" << seed << " probe=" << p);
+      const std::size_t cls = rng.uniform_index(templates.size());
+      expect_cut_probes_sound(engine, cls, random_route(topo, graph, rng),
+                              mc_cuts, mc_kept);
+    }
+  }
+  EXPECT_GT(mc_cuts, 100);
+  EXPECT_GT(mc_kept, 100);
 }
 
 // ---------------------------------------------------------------------------

@@ -411,8 +411,15 @@ TEST(HttpEndpoint, ConformanceRoutesServeMonitorState) {
   EXPECT_NE(all.find("\"flow\":7"), std::string::npos);
   EXPECT_NE(all.find("\"flow\":9"), std::string::npos);
 
-  EXPECT_EQ(status_of(get(endpoint.port(), "/conformance/flows?top=-1")),
-            400);
+  // top= is one whole non-negative integer.
+  for (const char* bad : {"-1", "12junk", "abc", "+1", "%201", "1.0",
+                          "18446744073709551616"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_EQ(status_of(get(endpoint.port(),
+                            std::string("/conformance/flows?top=") + bad)),
+              400);
+  }
+  EXPECT_EQ(status_of(get(endpoint.port(), "/conformance/flows?top=2")), 200);
   endpoint.stop();
 }
 

@@ -2,6 +2,8 @@
 // selection and share-scale maximization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "net/shortest_path.hpp"
 #include "net/topology_factory.hpp"
 #include "routing/multiclass_selection.hpp"
@@ -83,6 +85,47 @@ TEST(MulticlassSelection, Validation) {
   opts.candidates_per_pair = 0;
   EXPECT_THROW(select_routes_multiclass(graph, classes, {{0, 2, 0}}, opts),
                std::invalid_argument);
+}
+
+// The two-class heuristic's options reach multi-class selection: routes
+// avoid forbidden servers, and a jitter seed reorders equal-distance pairs.
+TEST(MulticlassSelection, HonoursForbiddenServersAndOrderJitter) {
+  const auto topo = net::mci_backbone();
+  const net::ServerGraph graph(topo, 6u);
+  const auto demands = two_class_demands(topo, 20);
+  HeuristicOptions opts;
+  opts.candidates_per_pair = 4;
+  const auto classes = scaled_class_set(voice_video_templates(), 0.12);
+  const auto plain = select_routes_multiclass(graph, classes, demands, opts);
+  ASSERT_TRUE(plain.success);
+
+  // Forbid both directions of the first hop of the first demand's route.
+  const auto& first = plain.routes[0];
+  HeuristicOptions avoiding = opts;
+  avoiding.forbidden_servers = {*topo.find_link(first[0], first[1]),
+                                *topo.find_link(first[1], first[0])};
+  const auto detour =
+      select_routes_multiclass(graph, classes, demands, avoiding);
+  ASSERT_TRUE(detour.success);
+  for (const auto& route : detour.server_routes)
+    for (const net::ServerId bad : avoiding.forbidden_servers)
+      EXPECT_EQ(std::find(route.begin(), route.end(), bad), route.end());
+
+  // Where the selection fails, the first pair without a safe route
+  // depends on the order among equal distances.
+  const auto tight = scaled_class_set(voice_video_templates(), 0.45);
+  HeuristicOptions jittered = opts;
+  const std::size_t unjittered =
+      select_routes_multiclass(graph, tight, demands, opts).failed_demand;
+  bool moved = false;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    jittered.order_jitter_seed = seed;
+    const auto result =
+        select_routes_multiclass(graph, tight, demands, jittered);
+    ASSERT_FALSE(result.success);
+    moved = moved || result.failed_demand != unjittered;
+  }
+  EXPECT_TRUE(moved);
 }
 
 TEST(ScaledClassSet, BuildsAndValidates) {

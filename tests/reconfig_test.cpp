@@ -16,6 +16,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <limits>
+#include <map>
 #include <set>
 #include <span>
 #include <thread>
@@ -30,6 +33,7 @@
 #include "reconfig/actuator.hpp"
 #include "telemetry/alerts.hpp"
 #include "telemetry/event_trace.hpp"
+#include "telemetry/http_endpoint.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/timeseries.hpp"
 #include "traffic/workload.hpp"
@@ -516,6 +520,94 @@ TEST(Reconfig, ActuatorDisabledPolicyIsInert) {
   actuator.set_policy(policy);
   actuator.on_tick();
   EXPECT_EQ(actuator.actuations(), 1u);
+}
+
+// One validation for every way a policy arrives: non-finite values, a
+// re-search range outside 0 <= lo <= hi <= 1, a non-positive step or
+// resolution, a negative min_delta and a cooldown that does not fit int64
+// ns are rejected; set_policy keeps the old policy.
+TEST(Reconfig, PolicyValidationRejectsUnusableBounds) {
+  EXPECT_NO_THROW(reconfig::ActuationPolicy{}.validate());
+  const auto nan = std::numeric_limits<double>::quiet_NaN();
+  const auto inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::function<void(reconfig::ActuationPolicy&)>> bad = {
+      [&](auto& p) { p.search_lo = nan; },
+      [&](auto& p) { p.max_step = inf; },
+      [&](auto& p) { p.min_delta = nan; },
+      [](auto& p) { p.search_lo = -0.1; },
+      [](auto& p) { p.search_hi = 1.5; },
+      [](auto& p) {
+        p.search_lo = 0.6;
+        p.search_hi = 0.4;
+      },
+      [](auto& p) { p.resolution = 0.0; },
+      [](auto& p) { p.min_delta = -1e-4; },
+      [](auto& p) { p.max_step = 0.0; },
+      [](auto& p) { p.cooldown_ns = -1; },
+  };
+  ActuatorRig rig(0.05);
+  auto actuator = rig.make_actuator({});
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    SCOPED_TRACE(i);
+    reconfig::ActuationPolicy p;
+    bad[i](p);
+    EXPECT_THROW(p.validate(), std::invalid_argument);
+    EXPECT_THROW(actuator.set_policy(p), std::invalid_argument);
+    EXPECT_THROW(rig.make_actuator(p), std::invalid_argument);
+  }
+  EXPECT_EQ(actuator.to_json(), rig.make_actuator({}).to_json());
+
+  reconfig::ActuationPolicy p;
+  for (const double seconds : {-1.0, nan, inf, 1e12}) {
+    SCOPED_TRACE(seconds);
+    EXPECT_THROW(p.set_cooldown_s(seconds), std::invalid_argument);
+  }
+  p.set_cooldown_s(9e9);  // just below 2^63 ns
+  EXPECT_EQ(p.cooldown_ns, std::int64_t{9'000'000'000'000'000'000});
+}
+
+// The /reconfig route answers a bad POST with 400 and keeps the policy; the
+// JSON it serves stays finite.
+TEST(Reconfig, ReconfigRouteRejectsBadPostsAndKeepsThePolicy) {
+  ActuatorRig rig(0.05);
+  auto actuator = rig.make_actuator({});
+  const auto post = [&](std::map<std::string, std::string> query) {
+    telemetry::HttpRequest request;
+    request.method = "POST";
+    request.path = "/reconfig";
+    request.query = std::move(query);
+    return reconfig::reconfig_route(actuator, request);
+  };
+  const std::string before = actuator.to_json();
+  for (const auto& query : std::vector<std::map<std::string, std::string>>{
+           {{"enabled", "true"}, {"search_lo", "nan"}, {"max_step", "inf"}},
+           {{"search_lo", "0.9"}, {"search_hi", "0.2"}},
+           {{"search_hi", "1.5"}},
+           {{"max_step", "0"}},
+           {{"resolution", "-1"}},
+           {{"min_delta", "-0.5"}},
+           {{"cooldown_s", "1e300"}},
+           {{"cooldown_s", "-2"}},
+           {{"max_step", "0.1x"}},
+           {{"dry_run", "maybe"}}}) {
+    SCOPED_TRACE(query.begin()->first + "=" + query.begin()->second);
+    EXPECT_EQ(post(query).status, 400);
+    EXPECT_EQ(actuator.to_json(), before);
+  }
+  EXPECT_EQ(before.find(":nan"), std::string::npos);
+  EXPECT_EQ(before.find(":inf"), std::string::npos);
+
+  const auto ok = post({{"enabled", "false"},
+                        {"search_lo", "0.2"},
+                        {"search_hi", "0.4"},
+                        {"cooldown_s", "2"}});
+  EXPECT_EQ(ok.status, 200);
+  const reconfig::ActuationPolicy now = actuator.policy();
+  EXPECT_FALSE(now.enabled);
+  EXPECT_DOUBLE_EQ(now.search_lo, 0.2);
+  EXPECT_DOUBLE_EQ(now.search_hi, 0.4);
+  EXPECT_EQ(now.cooldown_ns, 2'000'000'000);
+  EXPECT_EQ(ok.body, actuator.to_json());
 }
 
 // ---------------------------------------------------------------------------

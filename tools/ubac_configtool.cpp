@@ -55,11 +55,14 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "ubac.hpp"
+#include "util/parse_number.hpp"
 
 using namespace ubac;
 
@@ -388,37 +391,6 @@ std::atomic<bool> g_interrupted{false};
 
 void on_interrupt(int) { g_interrupted.store(true, std::memory_order_relaxed); }
 
-/// Parse one double field of a /reconfig POST into `dst`. Returns false
-/// (and fills `error`) on a malformed value; absent fields are skipped.
-bool parse_policy_double(const telemetry::HttpRequest& request,
-                         const char* key, double& dst, std::string& error) {
-  const std::string raw = request.query_get(key);
-  if (raw.empty()) return true;
-  char* end = nullptr;
-  const double v = std::strtod(raw.c_str(), &end);
-  if (end == raw.c_str() || *end != '\0') {
-    error = std::string("bad ") + key + "\n";
-    return false;
-  }
-  dst = v;
-  return true;
-}
-
-bool parse_policy_bool(const telemetry::HttpRequest& request, const char* key,
-                       bool& dst, std::string& error) {
-  const std::string raw = request.query_get(key);
-  if (raw.empty()) return true;
-  if (raw == "1" || raw == "true") {
-    dst = true;
-  } else if (raw == "0" || raw == "false") {
-    dst = false;
-  } else {
-    error = std::string("bad ") + key + " (want 0/1/true/false)\n";
-    return false;
-  }
-  return true;
-}
-
 /// ArrivalRecorder slots for serve's offered load: the next power of two
 /// at or above four times the mean number of live flows (Little's law:
 /// arrival rate x mean holding time), never below 8192, so the recorder
@@ -477,13 +449,8 @@ int cmd_serve(const util::ArgParser& args) {
       static_cast<std::size_t>(std::max<long>(1, args.get_long("alert-k", 3)));
   alerts.add_rule(telemetry::AlertEngine::headroom_rule(
       "serve", args.get_double("alert-headroom", 0.9), alert_k));
-  // --alert-rejection-rate is the documented name; --alert-reject-rate is
-  // kept as the original spelling.
   alerts.add_rule(telemetry::AlertEngine::rejection_spike_rule(
-      "serve",
-      args.get_double("alert-rejection-rate",
-                      args.get_double("alert-reject-rate", 100.0)),
-      alert_k));
+      "serve", args.get_double("alert-rejection-rate", 100.0), alert_k));
   alerts.add_rule(telemetry::AlertEngine::deadline_miss_rule());
   sampler.set_alert_engine(&alerts);
 
@@ -499,8 +466,7 @@ int cmd_serve(const util::ArgParser& args) {
   reconfig::ActuationPolicy policy;
   policy.enabled = args.has("actuate");
   policy.dry_run = args.has("dry-run");
-  policy.cooldown_ns = static_cast<std::int64_t>(
-      args.get_double("cooldown-s", 5.0) * 1e9);
+  policy.set_cooldown_s(args.get_double("cooldown-s", 5.0));
   policy.max_step = args.get_double("max-step", 0.05);
   policy.search_lo = args.get_double("reconfig-lo", 0.01);
   policy.search_hi = args.get_double("reconfig-hi", 0.95);
@@ -565,18 +531,18 @@ int cmd_serve(const util::ArgParser& args) {
   load_options.conformance = recorder.get();
   if (!misdeclare.empty()) {
     // --misdeclare=<fraction>,<factor>
-    char* end = nullptr;
-    load_options.misdeclare_fraction =
-        std::strtod(misdeclare.c_str(), &end);
-    if (end == misdeclare.c_str() || *end != ',') {
+    const std::string_view text = misdeclare;
+    const std::size_t comma = text.find(',');
+    const auto fraction = util::parse_number<double>(text.substr(0, comma));
+    const auto factor = comma == std::string_view::npos
+                            ? std::nullopt
+                            : util::parse_number<double>(text.substr(comma + 1));
+    if (!fraction || !factor) {
       std::fprintf(stderr, "bad --misdeclare (want fraction,factor)\n");
       return 2;
     }
-    load_options.misdeclare_factor = std::strtod(end + 1, &end);
-    if (*end != '\0') {
-      std::fprintf(stderr, "bad --misdeclare (want fraction,factor)\n");
-      return 2;
-    }
+    load_options.misdeclare_fraction = *fraction;
+    load_options.misdeclare_factor = *factor;
   }
   admission::PacedLoadDriver driver(ctl, demands, load_options);
 
@@ -586,23 +552,7 @@ int cmd_serve(const util::ArgParser& args) {
   telemetry::HttpEndpoint http(http_options);
   telemetry::install_standard_routes(http, registry, &sampler, &alerts);
   http.handle("/reconfig", [&actuator](const telemetry::HttpRequest& request) {
-    if (request.method == "POST") {
-      reconfig::ActuationPolicy p = actuator.policy();
-      std::string error;
-      double cooldown_s = static_cast<double>(p.cooldown_ns) / 1e9;
-      if (!parse_policy_bool(request, "enabled", p.enabled, error) ||
-          !parse_policy_bool(request, "dry_run", p.dry_run, error) ||
-          !parse_policy_double(request, "cooldown_s", cooldown_s, error) ||
-          !parse_policy_double(request, "max_step", p.max_step, error) ||
-          !parse_policy_double(request, "search_lo", p.search_lo, error) ||
-          !parse_policy_double(request, "search_hi", p.search_hi, error) ||
-          !parse_policy_double(request, "resolution", p.resolution, error) ||
-          !parse_policy_double(request, "min_delta", p.min_delta, error))
-        return telemetry::HttpResponse::text(error, 400);
-      p.cooldown_ns = static_cast<std::int64_t>(cooldown_s * 1e9);
-      actuator.set_policy(p);
-    }
-    return telemetry::HttpResponse::json(actuator.to_json());
+    return reconfig::reconfig_route(actuator, request);
   });
   if (conformance_on) {
     telemetry::install_conformance_routes(http, *monitor);
@@ -851,12 +801,9 @@ int main(int argc, char** argv) {
       .describe("alert-headroom",
                 "serve: headroom-exhaustion utilization threshold "
                 "(default 0.9)")
-      .describe("alert-reject-rate",
+      .describe("alert-rejection-rate",
                 "serve: rejection-spike threshold in rejections/s "
                 "(default 100)")
-      .describe("alert-rejection-rate",
-                "serve: alias of --alert-reject-rate (takes precedence "
-                "when both are given)")
       .describe("load-seed",
                 "serve: RNG seed of the Poisson churn (default 1; fix it "
                 "for reproducible runs)")
