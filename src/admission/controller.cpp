@@ -62,9 +62,14 @@ ConcurrentAdmissionController::ConcurrentAdmissionController(
           traffic::quantize_budget_down(cls.share * graph.server(s).capacity),
           std::memory_order_relaxed);
   }
+  for (std::size_t i = 0; i < classes.size() * servers_; ++i)
+    slots_[i].capacity = graph.server(i % servers_).capacity;
 
   for (std::size_t l = 0; l < kLaneCount; ++l)
     lanes_[l].last_id = static_cast<traffic::FlowId>(l) << kLaneShift;
+  // The conformance recorder keys its regions by these lane bits.
+  static_assert(telemetry::ArrivalRecorder::kRegionShift == kLaneShift &&
+                telemetry::ArrivalRecorder::kRegions == kLaneCount);
 
   // Dense route index: one cell load plus a flat hop-array walk instead of
   // a hash lookup and a pointer chase through the table's nodes on every
@@ -281,12 +286,10 @@ void ConcurrentAdmissionController::record_request_telemetry(
     const RouteRef& route = route_index_[cell];
     double worst = 0.0;
     for (std::uint32_t hop = 0; share > 0.0 && hop < route.len; ++hop) {
-      const BitsPerSecond limit =
-          share * graph_->server((*route.path)[hop]).capacity;
-      worst = std::max(worst, traffic::bps_from_units(
-                                  slots_[route.slots[hop]].reserved.load(
-                                      std::memory_order_relaxed)) /
-                                  limit);
+      const Slot& sl = slots_[route.slots[hop]];
+      worst = std::max(worst, traffic::bps_from_units(sl.reserved.load(
+                                  std::memory_order_relaxed)) /
+                                  (share * sl.capacity));
     }
     ev.utilization = worst;
   }

@@ -56,8 +56,9 @@
 /// The per-flow edge registry is split into kLaneCount thread-affine
 /// lanes, each a mutex, a flat map (flow_registry.hpp) and an id
 /// sequence. A thread claims a lane of this controller the first time it
-/// admits (first come, first served, per controller); once every lane is
-/// claimed, later threads hash onto shared lanes, which stay correct
+/// admits (the lowest free one, per controller) and hands it back when it
+/// exits; the next claimer continues its sequence. While every lane is
+/// held, further threads hash onto shared lanes, which stay correct
 /// because every lane operation runs under its own mutex. A flow id is
 /// `lane << kLaneShift | sequence`: the lane-local sequence starts at 1,
 /// so a single-threaded caller holds lane 0 and sees ids 1, 2, 3... as the
@@ -279,6 +280,9 @@ class ConcurrentAdmissionController {
     /// quantize_budget_down(share * C); set at build, swapped live by
     /// apply_shares().
     std::atomic<RateFx> limit{0};
+    /// The server's capacity C, so a traced decision's worst-hop walk
+    /// reads reserved / (share * C) from this line alone.
+    BitsPerSecond capacity = 0.0;
   };
 
   /// One registry lane. 128-byte aligned so neither a neighbouring lane

@@ -26,15 +26,32 @@
 /// Registration follows the admission hot path through a SpanRecorder
 /// style global gate: `ArrivalRecorder::active()` is one acquire load,
 /// which is the entire cost of admit/release when no recorder is
-/// installed. Slots live in a fixed-size open-addressed table (bounded
-/// linear probe, no allocation, no locks); a full probe window counts a
-/// dropped registration rather than blocking the admit path.
+/// installed. Slots live in fixed-size open-addressed tables (bounded
+/// linear probe, no locks, no allocation after a region's first use); a
+/// full probe window counts a dropped registration rather than blocking
+/// the admit path.
 ///
-/// The table is split by who writes it. Admit and release touch only the
-/// key array, 8 B a slot: the flow id + 1 in the low 56 bits and the class
-/// in the top byte, so a 16-slot probe window reads 128 contiguous bytes
-/// and a claim or a release is one CAS there. An id of 2^56 - 1 or more,
-/// or a class above 255, does not fit a key and counts as a dropped
+/// Regions. The slots are split into kRegions regions, one per admission
+/// controller lane: an id's region is its lane bits, `id >> 48` (the
+/// controller issues `lane << 48 | sequence`, see admission/controller.hpp),
+/// and lane bits of 16 or more, which no controller issues, wrap onto
+/// region `(id >> 48) % 16`. Every region holds `capacity` slots and is
+/// mapped when its first flow registers, so a recorder costs memory only
+/// for the lanes that admit into it, and collect() and flow_count() scan
+/// only those. Inside a region a flow's home slot is its id modulo
+/// `capacity`, i.e. its lane-local sequence: a lane's consecutive admits
+/// fill consecutive slots, on lines its own core writes, and a lane whose
+/// live flows were all admitted within its last `capacity` admits never
+/// collides, however many of them there are. Older survivors displace a
+/// newcomer by linear probe. A caller that numbers its flows 0, 1, 2...
+/// (NetworkSim) uses region 0 alone. A release from another thread
+/// writes one key word in the admitting lane's region.
+///
+/// Each region is split by who writes it. Admit and release touch only
+/// the key array, 8 B a slot: the flow id + 1 in the low 56 bits and the
+/// class in the top byte, so a 16-slot probe window reads 128 contiguous
+/// bytes and a claim or a release is one CAS there. An id of 2^56 - 1 or
+/// more, or a class above 255, does not fit a key and counts as a dropped
 /// registration. The 1 KiB window payload and its meta words (a 64-bit
 /// dirty mask with one bit per [scale][bucket], and an owner tag naming
 /// the key whose data the payload holds) are written only by record().
@@ -43,10 +60,11 @@
 /// only then tags the payload with its own key. collect() reads a payload
 /// only when its tag matches the slot's key, so a slot whose occupant has
 /// not recorded yet reports zero windows, and sums only dirty buckets, so
-/// a bit published late can only undercount. The payload is mapped
-/// zero-filled, so a slot nothing was ever recorded into never becomes
-/// resident. No counter follows claims and releases: flow_count() scans
-/// the keys, so it is exact at quiescence.
+/// a bit published late can only undercount. Keys, meta words and
+/// payload are all mapped zero-filled, so a slot nothing was ever
+/// recorded into costs no meta or payload memory. No counter follows
+/// claims and releases: flow_count() scans the keys, so it is exact at
+/// quiescence.
 ///
 /// The tag is the key, so it tells occupants apart only when ids do not
 /// repeat: an id re-admitted into the slot it was released from resumes
@@ -63,7 +81,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "traffic/flow.hpp"
@@ -81,14 +98,21 @@ class ArrivalRecorder {
   static constexpr std::int64_t kWindowNs[kScales] = {
       10'000'000, 100'000'000, 1'000'000'000, 10'000'000'000};
 
+  /// Slot regions, one per admission controller lane.
+  static constexpr std::size_t kRegions = 16;
+  /// An id's region is its bits from here up (the controller's lane).
+  static constexpr unsigned kRegionShift = 48;
+
   struct Options {
-    /// Flow-slot table size (rounded up to a power of two). Flows beyond
-    /// capacity (or past the probe window) are dropped, not blocked on.
+    /// Slots of each region (rounded up to a power of two): the flows
+    /// one lane can hold. Flows beyond it (or past the probe window) are
+    /// dropped, not blocked on.
     std::size_t capacity = 4096;
   };
 
   ArrivalRecorder() : ArrivalRecorder(Options()) {}
   explicit ArrivalRecorder(Options options);
+  ~ArrivalRecorder();
 
   ArrivalRecorder(const ArrivalRecorder&) = delete;
   ArrivalRecorder& operator=(const ArrivalRecorder&) = delete;
@@ -140,9 +164,12 @@ class ArrivalRecorder {
   /// admitted or released mid-scan may be missed or carry partial data.
   void collect(std::int64_t now_ns, std::vector<FlowWindows>& out) const;
 
+  /// Slots of one region.
   std::size_t capacity() const noexcept { return capacity_; }
-  /// Live registered flows, counted by a scan of the keys (approximate
-  /// under churn, exact at quiescence).
+  /// Regions mapped so far (a region is mapped by its first flow).
+  std::size_t regions_in_use() const noexcept;
+  /// Live registered flows, counted by a scan of the keys of the regions
+  /// in use (approximate under churn, exact at quiescence).
   std::size_t flow_count() const noexcept;
   /// Registrations refused because the probe window was full or the id
   /// or class does not fit a key.
@@ -174,14 +201,15 @@ class ArrivalRecorder {
     Bucket buckets[kScales][kBucketsPerScale];
   };
 
-  /// The per-slot words record() writes next to the payload.
+  /// The per-slot words record() writes next to the payload, accessed
+  /// through std::atomic_ref like the payload.
   struct Meta {
     /// Bit s * kBucketsPerScale + b: buckets[s][b] holds the owner's
     /// data. Set by record() after the bucket write, cleared by a scrub.
-    std::atomic<std::uint64_t> dirty{0};
+    std::uint64_t dirty;
     /// Key of the occupant whose data the payload holds; 0 before the
     /// first record(), kScrubbing while one is scrubbing.
-    std::atomic<std::uint64_t> owner{0};
+    std::uint64_t owner;
   };
   static_assert(kScales * kBucketsPerScale == 64,
                 "one dirty bit per bucket must fit a 64-bit mask");
@@ -195,27 +223,40 @@ class ArrivalRecorder {
   /// An owner value no key takes (its id bits are zero).
   static constexpr std::uint64_t kScrubbing = ~kIdMask;
 
-  struct Unmap {
-    std::size_t bytes = 0;
-    void operator()(Payload* p) const noexcept;
+  /// One mapped region: capacity_ keys, then as many Meta, then as many
+  /// Payload, in one zero-filled mapping. keys is null while unmapped.
+  struct Region {
+    /// Class << kClassShift | (flow id + 1) per slot ("key"); 0 = free.
+    /// Offset by one so flow id 0 is representable.
+    std::uint64_t* keys = nullptr;
+    Meta* meta = nullptr;
+    Payload* payload = nullptr;
   };
 
-  /// Slot index holding `flow_id` (its key in `key`), or kNoSlot.
-  std::size_t find(traffic::FlowId flow_id,
+  static std::size_t region_of(traffic::FlowId flow_id) noexcept {
+    return static_cast<std::size_t>(flow_id >> kRegionShift) &
+           (kRegions - 1);
+  }
+  std::size_t region_bytes() const noexcept;
+  /// Region r, or one with null keys while it is unmapped.
+  Region region(std::size_t r) const noexcept;
+  /// Region r, mapped now if it was not; null keys when mapping fails.
+  Region map_region(std::size_t r) noexcept;
+
+  /// Slot index in `reg` holding `flow_id` (its key in `key`), or kNoSlot.
+  std::size_t find(const Region& reg, traffic::FlowId flow_id,
                    std::uint64_t& key) const noexcept;
   /// Make `key` the owner of `slot`'s payload, scrubbing the previous
   /// occupant's windows first. False when the slot no longer holds `key`.
-  bool own_payload(std::size_t slot, std::uint64_t key) noexcept;
+  bool own_payload(const Region& reg, std::size_t slot,
+                   std::uint64_t key) noexcept;
 
   static std::atomic<ArrivalRecorder*> g_active_;
 
-  std::size_t capacity_;  ///< power of two
+  std::size_t capacity_;  ///< slots per region, a power of two
   std::size_t mask_;
-  /// Class << kClassShift | (flow id + 1) per slot ("key"); 0 = free.
-  /// Offset by one so flow id 0 is representable.
-  std::unique_ptr<std::atomic<std::uint64_t>[]> keys_;
-  std::unique_ptr<Meta[]> meta_;
-  std::unique_ptr<Payload, Unmap> payload_;
+  /// Each region's mapping, published once by its first registration.
+  std::atomic<std::byte*> regions_[kRegions] = {};
   std::atomic<std::uint64_t> dropped_registrations_{0};
   std::atomic<std::uint64_t> dropped_records_{0};
 };

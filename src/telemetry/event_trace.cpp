@@ -159,6 +159,13 @@ std::uint64_t EventTracer::recorded() const noexcept {
   return total;
 }
 
+std::size_t EventTracer::lanes_used() const noexcept {
+  std::size_t used = 0;
+  for (std::size_t l = 0; l < kLaneCount; ++l)
+    used += lanes_[l].ring.load(std::memory_order_relaxed) != nullptr;
+  return used;
+}
+
 std::vector<TraceEvent> EventTracer::snapshot() const {
   struct Merged {
     Record record;

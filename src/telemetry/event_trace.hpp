@@ -12,7 +12,9 @@
 /// admission controller's registry lanes use): a lane is a power-of-two
 /// ring of `capacity` seqlock slots (seqlock.hpp) with a lane-local
 /// cursor, allocated when the lane's first event is recorded. The first
-/// 16 writer threads each own a lane: record() takes a wall-clock record
+/// 16 writer threads alive at once each own a lane, handed back when the
+/// thread exits; the next thread to claim it continues its cursor and
+/// ring. An owner's record() takes a wall-clock record
 /// stamp (now_ns()), bumps the cursor and publishes the slot with plain
 /// and release stores (SeqlockSlot::store), so a traced decision writes
 /// no word another thread writes and runs no read-modify-write. Every
@@ -116,6 +118,14 @@ class EventTracer {
   /// Events recorded (post-sampling), summed over the lanes; exact at
   /// quiescence.
   std::uint64_t recorded() const noexcept;
+  /// Lanes holding a ring, the overflow lane included: memory is
+  /// lanes_used() x capacity() slots of 72 bytes.
+  std::size_t lanes_used() const noexcept;
+  /// Events recorded on the shared overflow lane, by threads past the
+  /// 16th alive at once.
+  std::uint64_t overflow_recorded() const noexcept {
+    return lanes_[kOverflowLane].cursor.load(std::memory_order_relaxed);
+  }
   /// Events skipped by sampling.
   std::uint64_t sampled_out() const noexcept {
     return sampled_out_.value();

@@ -2,24 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
-#include <thread>
 
 namespace ubac::telemetry {
-
-namespace detail {
-
-std::size_t stripe_index() noexcept {
-  // One stripe per thread for up to kStripes live threads; beyond that
-  // threads share stripes, which costs contention but never correctness.
-  static std::atomic<std::size_t> next{0};
-  thread_local const std::size_t idx =
-      next.fetch_add(1, std::memory_order_relaxed) % kStripes;
-  return idx;
-}
-
-}  // namespace detail
 
 const char* to_string(InstrumentKind kind) {
   switch (kind) {
@@ -31,50 +18,58 @@ const char* to_string(InstrumentKind kind) {
 }
 
 LatencyHistogram::LatencyHistogram(std::vector<double> upper_bounds)
-    : bounds_(std::move(upper_bounds)), stripes_(detail::kStripes) {
+    : bounds_(std::move(upper_bounds)),
+      lines_per_stripe_((kFirstBucketWord + bounds_.size() + 1 + 7) / 8) {
   if (bounds_.empty())
     throw std::invalid_argument("LatencyHistogram: no buckets");
   for (std::size_t i = 1; i < bounds_.size(); ++i)
     if (!(bounds_[i] > bounds_[i - 1]))
       throw std::invalid_argument(
           "LatencyHistogram: bounds must be strictly increasing");
-  for (auto& stripe : stripes_)
-    stripe.buckets =
-        std::make_unique<std::atomic<std::uint64_t>[]>(bounds_.size() + 1);
+  lines_ = std::make_unique<Line[]>(detail::kStripes * lines_per_stripe_);
 }
 
 void LatencyHistogram::record(double v) noexcept {
   // First bucket whose upper bound is >= v (`le` semantics); +Inf last.
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
   const auto bucket = static_cast<std::size_t>(it - bounds_.begin());
-  Stripe& stripe = stripes_[detail::stripe_index()];
-  stripe.buckets[bucket].fetch_add(1, std::memory_order_relaxed);
-  stripe.count.fetch_add(1, std::memory_order_relaxed);
-  double cur = stripe.sum.load(std::memory_order_relaxed);
-  while (!stripe.sum.compare_exchange_weak(cur, cur + v,
-                                           std::memory_order_relaxed)) {
-  }
+  const std::size_t stripe = detail::stripe_index();
+  detail::bump(word(stripe, kFirstBucketWord + bucket), stripe, 1);
+  detail::bump(word(stripe, kCountWord), stripe, 1);
+  std::atomic<std::uint64_t>& sum = word(stripe, kSumWord);
+  std::uint64_t cur = sum.load(std::memory_order_relaxed);
+  const auto plus_v = [v](std::uint64_t bits) {
+    return std::bit_cast<std::uint64_t>(std::bit_cast<double>(bits) + v);
+  };
+  if (stripe < detail::kOwnedStripes)
+    sum.store(plus_v(cur), std::memory_order_relaxed);
+  else
+    while (!sum.compare_exchange_weak(cur, plus_v(cur),
+                                      std::memory_order_relaxed)) {
+    }
 }
 
 std::uint64_t LatencyHistogram::count() const noexcept {
   std::uint64_t n = 0;
-  for (const auto& stripe : stripes_)
-    n += stripe.count.load(std::memory_order_relaxed);
+  for (std::size_t s = 0; s < detail::kStripes; ++s)
+    n += word(s, kCountWord).load(std::memory_order_relaxed);
   return n;
 }
 
 double LatencyHistogram::sum() const noexcept {
-  double s = 0.0;
-  for (const auto& stripe : stripes_)
-    s += stripe.sum.load(std::memory_order_relaxed);
-  return s;
+  double total = 0.0;
+  for (std::size_t s = 0; s < detail::kStripes; ++s)
+    total += std::bit_cast<double>(
+        word(s, kSumWord).load(std::memory_order_relaxed));
+  return total;
 }
 
 std::vector<std::uint64_t> LatencyHistogram::bucket_counts() const {
   std::vector<std::uint64_t> counts(bounds_.size() + 1, 0);
-  for (const auto& stripe : stripes_)
+  for (std::size_t s = 0; s < detail::kStripes; ++s)
     for (std::size_t b = 0; b < counts.size(); ++b)
-      counts[b] += stripe.buckets[b].load(std::memory_order_relaxed);
+      counts[b] +=
+          word(s, kFirstBucketWord + b).load(std::memory_order_relaxed);
   return counts;
 }
 

@@ -8,17 +8,28 @@
 /// than the thing it observes. Every instrument here is therefore wait-free
 /// on the update path:
 ///
-///  * Counter          — monotonically increasing, exact. Updates go to one
-///                       of kStripes cache-line-padded atomic cells chosen
-///                       by a per-thread index, so concurrent writers do
-///                       not contend; value() sums the stripes.
+///  * Counter          — monotonically increasing, exact. Updates go to the
+///                       calling thread's stripe, one of kStripes
+///                       cache-line-padded cells; value() sums them.
 ///  * Gauge            — last-set-wins double (one relaxed atomic store).
 ///  * LatencyHistogram — fixed upper-bound buckets (Prometheus `le`
 ///                       semantics: a sample lands in the first bucket
 ///                       whose bound is >= the value, inclusive), with
-///                       striped bucket/count/sum cells. Counts are exact;
-///                       sum is exact for any sequence of adds because each
-///                       stripe is only merged at read time.
+///                       one padded stripe per thread holding that
+///                       thread's count, sum and buckets together. Counts
+///                       are exact; sum is exact for any sequence of adds
+///                       because each stripe is only merged at read time.
+///
+/// Stripes. A thread claims its stripe through util::LaneClaims, one set
+/// of claims for every instrument in the process: the first 16 threads
+/// alive at once each own a stripe (0..15) in every counter and
+/// histogram, and a thread's stripe is handed back when it exits, so
+/// threads started in waves reuse the same stripes. An owned stripe has
+/// one writer, which updates it with a relaxed load and store, no
+/// read-modify-write. A 17th and later live thread writes the shared
+/// stripe 16 with fetch_add (a CAS loop for a sum). No count waits in
+/// thread-local state, so value() is exact as soon as the writers have
+/// finished (joined, or otherwise ordered before the read).
 ///
 /// Instruments are registered in a MetricsRegistry keyed by
 /// (name, labels); registration takes a mutex, updates never do. Naming
@@ -35,6 +46,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/lane_claims.hpp"
+
 namespace ubac::telemetry {
 
 /// Ordered (key, value) label pairs attached to one series.
@@ -42,23 +55,38 @@ using Labels = std::vector<std::pair<std::string, std::string>>;
 
 namespace detail {
 
-inline constexpr std::size_t kStripes = 16;
+/// Stripes 0..kOwnedStripes-1 have one writer each; kOwnedStripes is the
+/// shared stripe of threads past the 16th alive at once.
+inline constexpr std::size_t kOwnedStripes = util::LaneClaims::kLanes;
+inline constexpr std::size_t kStripes = kOwnedStripes + 1;
 
-/// Stable per-thread stripe index (threads hash to one of kStripes cells).
-std::size_t stripe_index() noexcept;
+/// The claims on metric stripes, one set for every instrument. Never
+/// destroyed: a thread may still count while statics are torn down.
+inline util::LaneClaims& stripe_claims() noexcept {
+  static util::LaneClaims* const claims = new util::LaneClaims;
+  return *claims;
+}
+
+inline constinit thread_local util::LaneClaims::Cache t_stripe_cache;
+
+/// The calling thread's stripe: its own, or kOwnedStripes when shared.
+inline std::size_t stripe_index() noexcept {
+  return stripe_claims().own_exclusive(t_stripe_cache);
+}
+
+/// Add `n` to `cell` of stripe `stripe`: a load and a store when the
+/// calling thread owns the stripe, a fetch_add when it shares it.
+inline void bump(std::atomic<std::uint64_t>& cell, std::size_t stripe,
+                 std::uint64_t n) noexcept {
+  if (stripe < kOwnedStripes)
+    cell.store(cell.load(std::memory_order_relaxed) + n,
+               std::memory_order_relaxed);
+  else
+    cell.fetch_add(n, std::memory_order_relaxed);
+}
 
 struct alignas(64) U64Cell {
   std::atomic<std::uint64_t> v{0};
-};
-
-struct alignas(64) F64Cell {
-  std::atomic<double> v{0.0};
-
-  void add(double x) noexcept {
-    double cur = v.load(std::memory_order_relaxed);
-    while (!v.compare_exchange_weak(cur, cur + x, std::memory_order_relaxed)) {
-    }
-  }
 };
 
 }  // namespace detail
@@ -67,7 +95,8 @@ struct alignas(64) F64Cell {
 class Counter {
  public:
   void add(std::uint64_t n = 1) noexcept {
-    cells_[detail::stripe_index()].v.fetch_add(n, std::memory_order_relaxed);
+    const std::size_t stripe = detail::stripe_index();
+    detail::bump(cells_[stripe].v, stripe, n);
   }
 
   std::uint64_t value() const noexcept {
@@ -116,14 +145,23 @@ class LatencyHistogram {
                                                 std::size_t n);
 
  private:
-  struct alignas(64) Stripe {
-    std::unique_ptr<std::atomic<std::uint64_t>[]> buckets;
-    std::atomic<std::uint64_t> count{0};
-    std::atomic<double> sum{0.0};
+  /// A stripe is lines_per_stripe_ whole cache lines: word 0 the count,
+  /// word 1 the sum's bits, word 2 + b bucket b.
+  struct alignas(64) Line {
+    std::atomic<std::uint64_t> w[8];
   };
+  static constexpr std::size_t kCountWord = 0;
+  static constexpr std::size_t kSumWord = 1;
+  static constexpr std::size_t kFirstBucketWord = 2;
+
+  std::atomic<std::uint64_t>& word(std::size_t stripe,
+                                   std::size_t i) const noexcept {
+    return lines_[stripe * lines_per_stripe_ + i / 8].w[i % 8];
+  }
 
   std::vector<double> bounds_;
-  std::vector<Stripe> stripes_;
+  std::size_t lines_per_stripe_;
+  std::unique_ptr<Line[]> lines_;
 };
 
 enum class InstrumentKind { kCounter, kGauge, kHistogram };

@@ -532,8 +532,10 @@ TEST(ConcurrentAdmission, CrossThreadReleaseDrainsLedger) {
     EXPECT_EQ(ctl.reserved_units(s, 0), 0u) << "server " << s;
 }
 
-// More threads than lanes: the 17th and later threads share lanes. Ids
-// must stay unique, the ledger exact, and every counter 0 after a drain.
+// More threads than lanes: the 17th and later threads alive at once share
+// lanes. Ids must stay unique, the ledger exact, and every counter 0 after
+// a drain. Every worker stays alive until all have finished, because a
+// thread hands its lane back when it exits.
 TEST(ConcurrentAdmission, SharedLanesPast16ThreadsKeepIdsUniqueAndLedgerExact) {
   constexpr std::size_t kThreads = 24;
   constexpr std::size_t kItersPerThread = 4'000;
@@ -548,22 +550,25 @@ TEST(ConcurrentAdmission, SharedLanesPast16ThreadsKeepIdsUniqueAndLedgerExact) {
   for (std::size_t t = 0; t < kThreads; ++t)
     workers.emplace_back([&, t] {
       start.arrive_and_wait();
-      util::Xoshiro256 rng(0x5A4ED + t);
-      WorkerTally& tally = tallies[t];
-      for (std::size_t k = 0; k < kItersPerThread; ++k) {
-        if (!tally.held.empty() && rng.bernoulli(0.45)) {
-          const auto pos = rng.uniform_index(tally.held.size());
-          ASSERT_TRUE(ctl.release(tally.held[pos]));
-          tally.held[pos] = tally.held.back();
-          tally.held.pop_back();
-        } else {
-          const auto& d = f.demands[rng.uniform_index(f.demands.size())];
-          const auto decision = ctl.request(d.src, d.dst, d.class_index);
-          if (!decision.admitted()) continue;
-          tally.held.push_back(decision.flow_id);
-          issued[t].push_back(decision.flow_id);
+      [&] {
+        util::Xoshiro256 rng(0x5A4ED + t);
+        WorkerTally& tally = tallies[t];
+        for (std::size_t k = 0; k < kItersPerThread; ++k) {
+          if (!tally.held.empty() && rng.bernoulli(0.45)) {
+            const auto pos = rng.uniform_index(tally.held.size());
+            ASSERT_TRUE(ctl.release(tally.held[pos]));
+            tally.held[pos] = tally.held.back();
+            tally.held.pop_back();
+          } else {
+            const auto& d = f.demands[rng.uniform_index(f.demands.size())];
+            const auto decision = ctl.request(d.src, d.dst, d.class_index);
+            if (!decision.admitted()) continue;
+            tally.held.push_back(decision.flow_id);
+            issued[t].push_back(decision.flow_id);
+          }
         }
-      }
+      }();
+      start.arrive_and_wait();
     });
   for (auto& w : workers) w.join();
 

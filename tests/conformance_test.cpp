@@ -396,6 +396,107 @@ TEST(EnvelopeClaims, ConcurrentReuseNeverSurfacesAPreviousOccupant) {
 }
 
 // ---------------------------------------------------------------------------
+// ArrivalRecorder: one region per controller lane
+// ---------------------------------------------------------------------------
+
+traffic::FlowId lane_id(traffic::FlowId lane, traffic::FlowId sequence) {
+  return lane << ArrivalRecorder::kRegionShift | sequence;
+}
+
+// Each lane's region holds `capacity` flows of its own: sixteen lanes that
+// each admit `capacity` consecutive controller ids drop none, and a
+// region is mapped only once a lane admits into it.
+TEST(EnvelopeRegions, EveryLaneHoldsCapacityFlowsOfItsOwn) {
+  ArrivalRecorder::Options options;
+  options.capacity = 1000;  // rounds up to 1024 slots a region
+  ArrivalRecorder recorder(options);
+  EXPECT_EQ(recorder.regions_in_use(), 0u);
+  for (traffic::FlowId lane = 0; lane < ArrivalRecorder::kRegions; ++lane) {
+    for (traffic::FlowId seq = 1; seq <= options.capacity; ++seq)
+      recorder.on_admit(lane_id(lane, seq), static_cast<std::uint32_t>(lane));
+    EXPECT_EQ(recorder.regions_in_use(), lane + 1);
+  }
+  EXPECT_EQ(recorder.dropped_registrations(), 0u);
+  EXPECT_EQ(recorder.flow_count(),
+            ArrivalRecorder::kRegions * options.capacity);
+  recorder.record(lane_id(9, 500), 64.0, kNsPerSec);
+  std::vector<ArrivalRecorder::FlowWindows> out;
+  recorder.collect(kNsPerSec, out);
+  ASSERT_EQ(out.size(), ArrivalRecorder::kRegions * options.capacity);
+  std::set<traffic::FlowId> ids;
+  for (const auto& fw : out) {
+    ids.insert(fw.flow_id);
+    EXPECT_EQ(fw.class_index, fw.flow_id >> ArrivalRecorder::kRegionShift);
+    EXPECT_EQ(fw.total_bits, fw.flow_id == lane_id(9, 500) ? 64.0 : 0.0);
+  }
+  EXPECT_EQ(ids.size(), out.size());
+  // A lane past its capacity drops only what does not fit.
+  for (traffic::FlowId seq = 1; seq <= 64; ++seq)
+    recorder.on_admit(lane_id(3, options.capacity + 2000 + seq), 0);
+  EXPECT_GT(recorder.dropped_registrations(), 0u);
+  EXPECT_EQ(recorder.flow_count() + recorder.dropped_registrations(),
+            ArrivalRecorder::kRegions * options.capacity + 64);
+  for (const auto& fw : out) recorder.on_release(fw.flow_id);
+  EXPECT_EQ(recorder.flow_count(), 64 - recorder.dropped_registrations());
+}
+
+// Lane bits of 16 or more (no controller issues them) wrap onto region
+// lane % 16, next to that lane's own ids, and stay distinct from them.
+TEST(EnvelopeRegions, LaneBitsPastTheLanesWrapOntoARegion) {
+  ArrivalRecorder recorder;
+  const traffic::FlowId own = lane_id(1, 5);
+  const traffic::FlowId wrapped = lane_id(17, 5);
+  const traffic::FlowId widest = lane_id(255, 5);  // the top lane a key fits
+  recorder.on_admit(own, 0);
+  recorder.on_admit(wrapped, 1);
+  EXPECT_EQ(recorder.regions_in_use(), 1u);  // both in region 1
+  recorder.on_admit(widest, 2);
+  EXPECT_EQ(recorder.regions_in_use(), 2u);  // region 15
+  EXPECT_EQ(recorder.dropped_registrations(), 0u);
+  recorder.record(own, 64.0, kNsPerSec);
+  recorder.record(wrapped, 128.0, kNsPerSec);
+  recorder.record(widest, 256.0, kNsPerSec);
+  std::vector<ArrivalRecorder::FlowWindows> out;
+  recorder.collect(kNsPerSec, out);
+  ASSERT_EQ(out.size(), 3u);
+  for (const auto& fw : out) {
+    const double expected = fw.flow_id == own       ? 64.0
+                            : fw.flow_id == wrapped ? 128.0
+                                                    : 256.0;
+    EXPECT_EQ(fw.total_bits, expected) << fw.flow_id;
+  }
+  recorder.on_release(wrapped);
+  out.clear();
+  recorder.collect(kNsPerSec, out);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_TRUE(out[0].flow_id != wrapped && out[1].flow_id != wrapped);
+  // An id in a region nothing admitted into maps nothing.
+  recorder.on_release(lane_id(4, 5));
+  recorder.record(lane_id(4, 5), 64.0, kNsPerSec);
+  EXPECT_EQ(recorder.dropped_records(), 1u);
+  EXPECT_EQ(recorder.regions_in_use(), 2u);
+}
+
+// A caller that numbers its flows 0, 1, 2... (NetworkSim) keeps to region
+// 0: `capacity` flows fit, the next one is dropped, and a release frees
+// its slot for a later flow.
+TEST(EnvelopeRegions, LaneZeroCallerUsesOneRegion) {
+  ArrivalRecorder::Options options;
+  options.capacity = 64;
+  ArrivalRecorder recorder(options);
+  for (traffic::FlowId id = 0; id < 64; ++id) recorder.on_admit(id, 0);
+  EXPECT_EQ(recorder.dropped_registrations(), 0u);
+  EXPECT_EQ(recorder.flow_count(), 64u);
+  recorder.on_admit(64, 0);
+  EXPECT_EQ(recorder.dropped_registrations(), 1u);
+  recorder.on_release(10);
+  recorder.on_admit(65, 0);
+  EXPECT_EQ(recorder.dropped_registrations(), 1u);
+  EXPECT_EQ(recorder.flow_count(), 64u);
+  EXPECT_EQ(recorder.regions_in_use(), 1u);
+}
+
+// ---------------------------------------------------------------------------
 // ConformanceMonitor: the one-sided estimator guarantee
 // ---------------------------------------------------------------------------
 

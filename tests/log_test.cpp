@@ -2,6 +2,7 @@
 // telemetry PR depends on — that log_line emits each record with one
 // stdio write, so records from concurrent threads never interleave.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
@@ -16,10 +17,16 @@
 namespace ubac::util {
 namespace {
 
-/// Redirect the log sink to a temp file for the test's duration.
+/// Redirect the log sink to a temp file for the test's duration. The file
+/// is named after the process and the test, so tests that run at the same
+/// time in separate processes never share one.
 class SinkCapture {
  public:
-  SinkCapture() : path_(::testing::TempDir() + "/ubac_log_test.txt") {
+  SinkCapture()
+      : path_(::testing::TempDir() + "/ubac_log_test_" +
+              std::to_string(getpid()) + "_" +
+              ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+              ".txt") {
     file_ = std::fopen(path_.c_str(), "w");
     set_log_sink(file_);
   }

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <latch>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -24,6 +25,7 @@
 #include "net/topology_factory.hpp"
 #include "sim/network_sim.hpp"
 #include "traffic/workload.hpp"
+#include "telemetry/envelope.hpp"
 #include "telemetry/event_trace.hpp"
 #include "telemetry/exporters.hpp"
 #include "telemetry/metrics.hpp"
@@ -679,6 +681,48 @@ TEST(ControllerTelemetry, TracedUtilizationIsTheRoutesWorstHop) {
   EXPECT_GT(rejects, 0u);
 }
 
+// The same check on a line whose links differ in capacity, so each hop's
+// utilization must be read against that hop's own server capacity.
+TEST(ControllerTelemetry, TracedUtilizationReadsEachHopsOwnCapacity) {
+  net::Topology topo("line");
+  const net::NodeId a = topo.add_node("a"), b = topo.add_node("b"),
+                    c = topo.add_node("c"), d = topo.add_node("d");
+  topo.add_duplex_link(a, b, units::mbps(10));
+  topo.add_duplex_link(b, c, units::mbps(1));
+  topo.add_duplex_link(c, d, units::mbps(4));
+  const net::ServerGraph graph(topo, 2u);
+  // Single-hop demands load some hops of the three-hop routes more than
+  // others, so the hops of a route differ in reserved rate.
+  const std::vector<traffic::Demand> demands = {
+      {a, d, 0}, {d, a, 0}, {c, d, 0}, {a, b, 0}, {b, a, 0}, {d, c, 0}};
+  std::vector<net::ServerPath> routes;
+  for (const auto& dm : demands)
+    routes.push_back(
+        graph.map_path(net::shortest_path(topo, dm.src, dm.dst).value()));
+  const traffic::ClassSet classes = traffic::ClassSet::two_class(
+      traffic::LeakyBucket(640.0, units::kbps(32)), units::milliseconds(100),
+      0.32);
+  MetricsRegistry registry;
+  EventTracer tracer(1, 1.0);
+  admission::AdmissionController ctl(graph, classes, {demands, routes});
+  admission::ControllerTelemetry telemetry(registry, "concurrent", &tracer);
+  ctl.attach_telemetry(&telemetry);
+
+  std::size_t rejects = 0;
+  for (std::size_t round = 0; round < 2'000; ++round) {
+    const std::size_t i = round % demands.size();
+    const auto& dm = demands[i];
+    rejects += !ctl.request(dm.src, dm.dst, dm.class_index).admitted();
+    double worst = 0.0;
+    for (const net::ServerId server : routes[i])
+      worst = std::max(worst, ctl.class_utilization(server, dm.class_index));
+    const auto events = tracer.snapshot();
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(events[0].utilization, worst) << "round " << round;
+  }
+  EXPECT_GT(rejects, 0u);
+}
+
 TEST(ControllerTelemetry, SequentialControllerReportsTheSameInstruments) {
   Scenario s;
   MetricsRegistry registry;
@@ -852,6 +896,159 @@ TEST(SimTelemetry, DeliveredCounterAndPeriodicSamples) {
   for (const auto& ev : tracer.snapshot())
     if (ev.kind == TraceEventKind::kSample) ++samples;
   EXPECT_EQ(samples, 9u);
+}
+
+// ---------------------------------------------------------------------------
+// Lanes handed back at thread exit.
+
+// Ten waves of four threads churn through one controller, tracer,
+// installed recorder and registry, each wave joined before the next
+// starts, and each thread leaving a few flows for the main thread to
+// release. Every wave reuses the lanes the previous one handed back, so at
+// most five lanes are ever claimed (four workers and the draining main
+// thread), nothing reaches the tracer's overflow lane, and the counts and
+// the recorder come out exact.
+TEST(LaneHandback, TenWavesOfFourThreadsStayOnFiveLanes) {
+  constexpr std::size_t kWaves = 10;
+  constexpr std::size_t kPerWave = 4;
+  constexpr std::size_t kOps = 2'000;
+  constexpr std::size_t kLeft = 8;  // flows a thread leaves registered
+  Scenario s;
+  MetricsRegistry registry;
+  EventTracer tracer(1 << 12, 1.0);
+  ArrivalRecorder::Options options;
+  options.capacity = 4096;
+  ArrivalRecorder recorder(options);
+  ArrivalRecorder::install(&recorder);
+  admission::AdmissionController ctl(s.graph, s.classes, s.table());
+  admission::ControllerTelemetry telemetry(registry, "waves", &tracer);
+  ctl.attach_telemetry(&telemetry);
+
+  std::vector<traffic::FlowId> issued, held;
+  std::uint64_t decisions = 0, releases = 0, rollbacks = 0;
+  for (std::size_t wave = 0; wave < kWaves; ++wave) {
+    std::vector<std::vector<traffic::FlowId>> admitted(kPerWave),
+        kept(kPerWave);
+    std::vector<std::uint64_t> decided(kPerWave, 0), released(kPerWave, 0),
+        rolled_back(kPerWave, 0);
+    std::latch finished(kPerWave);
+    std::vector<std::thread> workers;
+    for (std::size_t t = 0; t < kPerWave; ++t)
+      workers.emplace_back([&, t] {
+        util::Xoshiro256 rng(0xC0FFEE + wave * kPerWave + t);
+        for (std::size_t k = 0; k < kOps; ++k) {
+          if (!kept[t].empty() && rng.bernoulli(0.45)) {
+            const auto pos = rng.uniform_index(kept[t].size());
+            released[t] += ctl.release(kept[t][pos]);
+            kept[t][pos] = kept[t].back();
+            kept[t].pop_back();
+            continue;
+          }
+          const auto& d = s.demands[rng.uniform_index(s.demands.size())];
+          const auto decision = ctl.request(d.src, d.dst, d.class_index);
+          ++decided[t];
+          if (decision.admitted()) {
+            admitted[t].push_back(decision.flow_id);
+            kept[t].push_back(decision.flow_id);
+          }
+          rolled_back[t] +=
+              !decision.admitted() && decision.blocking_hop > 0;
+        }
+        for (; kept[t].size() > kLeft; kept[t].pop_back())
+          released[t] += ctl.release(kept[t].back());
+        // The wave's threads hold their lanes at once: none exits before
+        // all have claimed.
+        finished.arrive_and_wait();
+      });
+    for (auto& w : workers) w.join();
+    for (std::size_t t = 0; t < kPerWave; ++t) {
+      decisions += decided[t];
+      releases += released[t];
+      rollbacks += rolled_back[t];
+      issued.insert(issued.end(), admitted[t].begin(), admitted[t].end());
+      held.insert(held.end(), kept[t].begin(), kept[t].end());
+    }
+    EXPECT_EQ(recorder.regions_in_use(), kPerWave) << "wave " << wave;
+  }
+  // The main thread releases what the waves left registered.
+  for (const traffic::FlowId id : held) EXPECT_TRUE(ctl.release(id));
+  releases += held.size();
+  ArrivalRecorder::install(nullptr);
+
+  std::set<std::uint64_t> lanes;
+  for (const traffic::FlowId id : issued) lanes.insert(id >> 48);
+  EXPECT_EQ(lanes, (std::set<std::uint64_t>{0, 1, 2, 3}));
+  std::sort(issued.begin(), issued.end());
+  EXPECT_EQ(std::adjacent_find(issued.begin(), issued.end()), issued.end())
+      << "a flow id was issued twice";
+
+  EXPECT_LE(tracer.lanes_used(), kPerWave + 1);
+  EXPECT_EQ(tracer.overflow_recorded(), 0u);
+  // A reject that rolled hops back records a second event.
+  EXPECT_EQ(tracer.recorded(), decisions + releases + rollbacks);
+
+  using admission::AdmissionOutcome;
+  std::uint64_t counted = 0;
+  for (const auto* c : telemetry.decisions) counted += c->value();
+  EXPECT_EQ(counted, decisions);
+  EXPECT_EQ(telemetry.decision(AdmissionOutcome::kAdmitted).value(),
+            issued.size());
+  EXPECT_EQ(telemetry.releases->value(), releases);
+  EXPECT_EQ(telemetry.unknown_releases->value(), 0u);
+  EXPECT_EQ(ctl.active_flows(), 0u);
+
+  EXPECT_EQ(recorder.dropped_registrations(), 0u);
+  EXPECT_EQ(recorder.flow_count(), 0u);
+}
+
+// 24 writers alive at once: the first 16 own a stripe each and update it
+// with plain loads and stores, the rest share the overflow stripe through
+// read-modify-writes. The histogram has twelve buckets, so each stripe
+// spans two cache lines. Once the writers have exited, every count,
+// bucket and sum is exact.
+TEST(LaneHandback, OwnedAndSharedStripesAreExactAfterTheWritersExit) {
+  constexpr std::size_t kWriters = 24;
+  constexpr std::uint64_t kPerWriter = 24'000;
+  std::vector<double> bounds;  // 1, 2, 4, ..., 1024, then +Inf
+  for (int k = 0; k <= 10; ++k) bounds.push_back(std::ldexp(1.0, k));
+  Counter counter;
+  LatencyHistogram hist(bounds);
+  std::vector<std::size_t> stripe(kWriters);
+  std::latch all_claimed(kWriters);
+  std::vector<std::thread> writers;
+  for (std::size_t w = 0; w < kWriters; ++w)
+    writers.emplace_back([&, w] {
+      stripe[w] = detail::stripe_index();
+      all_claimed.arrive_and_wait();
+      for (std::uint64_t i = 0; i < kPerWriter; ++i) {
+        counter.add(w + 1);
+        // 2^0 .. 2^11: 2^k lands in bucket k, 2^11 in +Inf.
+        hist.record(std::ldexp(1.0, static_cast<int>(i % 12)));
+      }
+    });
+  for (auto& w : writers) w.join();
+
+  std::set<std::size_t> owned;
+  std::size_t shared = 0;
+  for (const std::size_t s : stripe) {
+    if (s == detail::kOwnedStripes)
+      ++shared;
+    else
+      EXPECT_TRUE(owned.insert(s).second) << "stripe " << s << " owned twice";
+  }
+  // This process's main thread may hold a stripe of its own.
+  EXPECT_GE(owned.size(), detail::kOwnedStripes - 1);
+  EXPECT_GE(shared, kWriters - detail::kOwnedStripes);
+
+  EXPECT_EQ(counter.value(), kPerWriter * kWriters * (kWriters + 1) / 2);
+  EXPECT_EQ(hist.count(), kWriters * kPerWriter);
+  const auto counts = hist.bucket_counts();
+  ASSERT_EQ(counts.size(), 12u);
+  for (std::size_t b = 0; b < counts.size(); ++b)
+    EXPECT_EQ(counts[b], kWriters * kPerWriter / 12) << "bucket " << b;
+  // Sums of powers of two up to 2^11 are exact in a double.
+  EXPECT_EQ(hist.sum(), static_cast<double>(kWriters * (kPerWriter / 12) *
+                                            ((1u << 12) - 1)));
 }
 
 }  // namespace

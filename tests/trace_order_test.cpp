@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
@@ -148,6 +149,61 @@ TEST(TraceOrder, OverflowLaneKeepsTheNewestCapacityExact) {
       EXPECT_EQ(first[w] + next[w], kPerWriter) << "writer " << w;
     }
     // ...and the one before them started no later than the oldest kept.
+    if (first[w] > 0) {
+      EXPECT_LE(before[w][first[w] - 1], oldest_kept) << "writer " << w;
+    }
+  }
+}
+
+// The same 24 writers held alive together: each records one event, then
+// waits until all have, so 16 own a lane and 8 certainly share the
+// overflow lane (writers that ran one after another would hand their
+// lanes on instead). The snapshot is still exactly the newest `capacity`.
+TEST(TraceOrder, OverflowLaneOfLiveWritersKeepsTheNewestCapacityExact) {
+  constexpr std::size_t kWriters = 24;
+  constexpr std::uint64_t kPerWriter = 2'000;
+  EventTracer tracer(256, 1.0);
+  std::vector<std::vector<std::int64_t>> before(
+      kWriters, std::vector<std::int64_t>(kPerWriter));
+  std::latch all_recording(kWriters);
+  std::vector<std::thread> writers;
+  for (std::size_t w = 0; w < kWriters; ++w)
+    writers.emplace_back([&, w] {
+      for (std::uint64_t i = 0; i < kPerWriter; ++i) {
+        TraceEvent ev;
+        ev.flow_id = w * kPerWriter + i;
+        before[w][i] = EventTracer::now_ns();
+        tracer.record(ev);
+        if (i == 0) all_recording.arrive_and_wait();
+      }
+    });
+  for (auto& w : writers) w.join();
+
+  EXPECT_EQ(tracer.overflow_recorded(),
+            (kWriters - util::LaneClaims::kLanes) * kPerWriter);
+  const std::uint64_t total = kWriters * kPerWriter;
+  EXPECT_EQ(tracer.recorded(), total);
+  const auto events = tracer.snapshot();
+  ASSERT_EQ(events.size(), tracer.capacity());
+  const std::int64_t oldest_kept = events.front().timestamp_ns;
+  std::vector<std::uint64_t> first(kWriters, kPerWriter);
+  std::vector<std::uint64_t> next(kWriters, 0);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].seq, total - tracer.capacity() + i);
+    if (i > 0) {
+      EXPECT_GE(events[i].timestamp_ns, events[i - 1].timestamp_ns);
+    }
+    const std::size_t w = events[i].flow_id / kPerWriter;
+    ASSERT_LT(w, kWriters);
+    const std::uint64_t k = events[i].flow_id % kPerWriter;
+    EXPECT_GE(events[i].timestamp_ns, before[w][k]);
+    if (first[w] == kPerWriter) first[w] = k;
+    EXPECT_EQ(k, first[w] + next[w]++) << "writer " << w << " lost an event";
+  }
+  for (std::size_t w = 0; w < kWriters; ++w) {
+    if (first[w] < kPerWriter) {
+      EXPECT_EQ(first[w] + next[w], kPerWriter) << "writer " << w;
+    }
     if (first[w] > 0) {
       EXPECT_LE(before[w][first[w] - 1], oldest_kept) << "writer " << w;
     }

@@ -1,8 +1,11 @@
 // Tests for src/util: rng, stats, histogram, table, csv, cli, thread pool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <latch>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -379,26 +382,40 @@ TEST(ThreadPool, WaitIdleBlocksUntilDone) {
   EXPECT_EQ(done.load(), 10);
 }
 
-// The first kLanes threads each claim a lane of their own, exclusively;
-// later threads get a shared claim: own() hashes them onto the claimed
-// lanes, own_exclusive() sends them all to the overflow lane kLanes.
+// The first kLanes threads alive at once each claim a lane of their own,
+// exclusively; later threads get a shared claim: own() hashes them onto
+// the claimed lanes, own_exclusive() sends them all to the overflow lane
+// kLanes. Every thread stays alive until all have claimed, because a
+// thread hands its lane back when it exits.
 TEST(LaneClaims, FirstThreadsOwnTheirLanesLaterOnesOverflow) {
   constexpr std::size_t kThreads = util::LaneClaims::kLanes + 4;
   util::LaneClaims claims;
   std::vector<util::LaneClaims::Cache> caches(kThreads);
   std::vector<std::uint32_t> lane(kThreads), exclusive_lane(kThreads);
+  std::atomic<std::size_t> claimed{0};
+  std::latch done(1);
+  std::vector<std::thread> threads;
   // One thread at a time, so claim order is thread order.
-  for (std::size_t i = 0; i < kThreads; ++i)
-    std::thread([&, i] {
+  for (std::size_t i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
       lane[i] = claims.own(caches[i]);
       exclusive_lane[i] = claims.own_exclusive(caches[i]);
       // The cached claim answers the same again.
       EXPECT_EQ(claims.own(caches[i]), lane[i]);
-    }).join();
+      claimed.fetch_add(1);
+      claimed.notify_all();
+      done.wait();
+    });
+    for (std::size_t n = i; n != i + 1; n = claimed.load()) claimed.wait(n);
+  }
+  // The claims as the live threads hold them (exit resets their caches).
+  const std::vector<util::LaneClaims::Cache> held = caches;
+  done.count_down();
+  for (auto& thread : threads) thread.join();
 
   for (std::size_t i = 0; i < kThreads; ++i) {
     const bool owns = i < util::LaneClaims::kLanes;
-    EXPECT_EQ(caches[i].exclusive, owns) << i;
+    EXPECT_EQ(held[i].exclusive, owns) << i;
     ASSERT_LT(lane[i], util::LaneClaims::kLanes) << i;
     if (owns) {
       EXPECT_EQ(lane[i], i);
@@ -412,6 +429,75 @@ TEST(LaneClaims, FirstThreadsOwnTheirLanesLaterOnesOverflow) {
   util::LaneClaims::Cache cache;
   EXPECT_EQ(other.own_exclusive(cache), 0u);
   EXPECT_TRUE(cache.exclusive);
+}
+
+// Threads started in waves, each wave joined before the next starts, hand
+// their lanes back at exit: every wave claims the same low lanes again,
+// exclusively, and nothing stays claimed between waves.
+TEST(LaneClaims, WavesOfThreadsReuseTheLanesTheirPredecessorsHandedBack) {
+  constexpr std::size_t kWaves = 10;
+  constexpr std::size_t kPerWave = 4;
+  util::LaneClaims claims;
+  for (std::size_t wave = 0; wave < kWaves; ++wave) {
+    std::vector<std::uint32_t> lanes(kPerWave);
+    std::latch claimed(kPerWave);
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < kPerWave; ++i)
+      threads.emplace_back([&, i] {
+        thread_local util::LaneClaims::Cache cache;
+        lanes[i] = claims.own_exclusive(cache);
+        claimed.arrive_and_wait();  // all four hold a lane at once
+      });
+    for (auto& thread : threads) thread.join();
+    std::sort(lanes.begin(), lanes.end());
+    EXPECT_EQ(lanes, (std::vector<std::uint32_t>{0, 1, 2, 3})) << wave;
+    EXPECT_EQ(claims.claimed(), 0u) << wave;
+  }
+}
+
+// A thread that still writes after its claims were handed back (from a
+// thread-local destructor that runs later) gets a shared claim, never the
+// lane it gave up; and an owner destroyed while a thread holds one of its
+// lanes leaves that thread's exit harmless.
+TEST(LaneClaims, WritesAfterTheHandbackShareAndOwnersMayDieFirst) {
+  struct LateWriter {
+    util::LaneClaims* claims = nullptr;
+    util::LaneClaims::Cache* cache = nullptr;
+    std::uint32_t* lane = nullptr;
+    ~LateWriter() {
+      if (claims != nullptr) *lane = claims->own_exclusive(*cache);
+    }
+  };
+  util::LaneClaims claims;
+  std::uint32_t first = 99, late = 99;
+  std::thread([&] {
+    thread_local util::LaneClaims::Cache cache;
+    // Constructed before the thread's first claim, so destroyed after
+    // the claims are handed back.
+    thread_local LateWriter writer;
+    writer.claims = &claims;
+    writer.cache = &cache;
+    writer.lane = &late;
+    first = claims.own_exclusive(cache);
+  }).join();
+  EXPECT_EQ(first, 0u);
+  EXPECT_EQ(late, util::LaneClaims::kLanes);
+  EXPECT_EQ(claims.claimed(), 0u);
+
+  auto doomed = std::make_unique<util::LaneClaims>();
+  std::latch held(1), gone(1);
+  std::uint32_t lane = 99;
+  std::thread holder([&] {
+    thread_local util::LaneClaims::Cache cache;
+    lane = doomed->own_exclusive(cache);
+    held.count_down();
+    gone.wait();  // exits after its owner was destroyed
+  });
+  held.wait();
+  doomed.reset();
+  gone.count_down();
+  holder.join();
+  EXPECT_EQ(lane, 0u);
 }
 
 }  // namespace
