@@ -1,24 +1,14 @@
 #include "telemetry/event_trace.hpp"
 
-#include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <functional>
-#include <new>
 #include <stdexcept>
 #include <thread>
-#include <tuple>
 
 namespace ubac::telemetry {
 
 namespace {
-
-std::size_t round_up_pow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
 
 /// Per-thread xorshift64* state for sampling draws.
 std::uint64_t next_draw() noexcept {
@@ -31,9 +21,6 @@ std::uint64_t next_draw() noexcept {
   return state * 0x2545F4914F6CDD1Dull;
 }
 
-/// This thread's lane on the tracer it last recorded into.
-thread_local util::LaneClaims::Cache t_lane_cache;
-
 double next_unit() noexcept {
   return static_cast<double>(next_draw() >> 11) * 0x1p-53;
 }
@@ -45,7 +32,6 @@ double next_unit() noexcept {
 struct SampleSkipState {
   const void* owner = nullptr;
   std::uint64_t skips_left = 0;  ///< misses before the next sampled event
-  std::uint64_t pending = 0;     ///< misses not yet added to sampled_out_
 };
 
 /// Number of Bernoulli(p) misses before the next hit, geometrically
@@ -76,16 +62,9 @@ const char* to_string(TraceEventKind kind) {
 }
 
 EventTracer::EventTracer(std::size_t capacity, double sampling)
-    : capacity_(round_up_pow2(capacity == 0 ? 1 : capacity)),
-      sampling_(sampling),
-      lanes_(std::make_unique<Lane[]>(kLaneCount)) {
+    : sampling_(sampling), ring_(capacity) {
   if (!(sampling >= 0.0 && sampling <= 1.0))
     throw std::invalid_argument("EventTracer: sampling must be in [0, 1]");
-}
-
-EventTracer::~EventTracer() {
-  for (std::size_t l = 0; l < kLaneCount; ++l)
-    delete[] lanes_[l].ring.load(std::memory_order_relaxed);
 }
 
 bool EventTracer::should_sample() noexcept {
@@ -96,108 +75,38 @@ bool EventTracer::should_sample() noexcept {
   }
   // Geometric skipping: drawing the whole gap to the next sampled event at
   // once is distributed identically to a coin flip per event, but the miss
-  // path is a thread-local decrement — no RNG draw and no shared atomic.
-  // sampled_out_ is credited in batches at each sampled event (so it can
-  // lag by up to one gap per thread; exact after every hit).
+  // path is a thread-local decrement and an add to the thread's own
+  // sampled_out_ stripe — no RNG draw and no shared write.
   thread_local SampleSkipState tls;
   if (tls.owner != this) {
     tls.owner = this;
     tls.skips_left = draw_geometric_skips(sampling_);
-    tls.pending = 0;
   }
   if (tls.skips_left > 0) {
     --tls.skips_left;
-    ++tls.pending;
+    sampled_out_.add();
     return false;
-  }
-  if (tls.pending > 0) {
-    sampled_out_.add(tls.pending);
-    tls.pending = 0;
   }
   tls.skips_left = draw_geometric_skips(sampling_);
   return true;
 }
 
 void EventTracer::record(TraceEvent ev) noexcept {
-  const std::uint32_t l = claims_.own_exclusive(t_lane_cache);
-  Lane& lane = lanes_[l];
-  const bool shared = l == kOverflowLane;
-  // On the shared overflow lane the stamp and cursor are claimed together:
-  // a writer preempted between the two would otherwise let the lane's
-  // cursor order drift from stamp order, and the lane could then lap an
-  // event that is still among the newest `capacity` stamps. An owned lane
-  // has one writer, which takes its stamps in cursor order by itself.
-  if (shared)
-    while (lane.claiming.exchange(true, std::memory_order_acquire))
-      while (lane.claiming.load(std::memory_order_relaxed)) {
-      }
-  const std::int64_t stamp = now_ns();
-  const std::uint64_t cursor = lane.cursor.load(std::memory_order_relaxed);
-  lane.cursor.store(cursor + 1, std::memory_order_relaxed);
-  Slot* ring = lane.ring.load(std::memory_order_relaxed);
-  if (ring == nullptr) {
-    ring = new (std::nothrow) Slot[capacity_];
-    lane.ring.store(ring, std::memory_order_release);
-  }
-  if (shared) lane.claiming.store(false, std::memory_order_release);
-  // Out of memory for a first ring: the event is counted, not retained.
-  if (ring == nullptr) return;
-  const Record record{stamp, ev.timestamp_ns == 0 ? stamp : ev.timestamp_ns,
-                      ev.flow_id, ev.class_index, ev.src, ev.dst,
-                      ev.blocking_hop, ev.utilization, ev.reason, ev.kind};
-  Slot& slot = ring[cursor & (capacity_ - 1)];
-  if (shared)
-    slot.publish(cursor, record);
-  else
-    slot.store(cursor, record);
-}
-
-std::uint64_t EventTracer::recorded() const noexcept {
-  std::uint64_t total = 0;
-  for (std::size_t l = 0; l < kLaneCount; ++l)
-    total += lanes_[l].cursor.load(std::memory_order_relaxed);
-  return total;
-}
-
-std::size_t EventTracer::lanes_used() const noexcept {
-  std::size_t used = 0;
-  for (std::size_t l = 0; l < kLaneCount; ++l)
-    used += lanes_[l].ring.load(std::memory_order_relaxed) != nullptr;
-  return used;
+  ring_.record([&ev](std::int64_t stamp) {
+    return Record{stamp, ev.timestamp_ns == 0 ? stamp : ev.timestamp_ns,
+                  ev.flow_id, ev.class_index, ev.src, ev.dst,
+                  ev.blocking_hop, ev.utilization, ev.reason, ev.kind};
+  });
 }
 
 std::vector<TraceEvent> EventTracer::snapshot() const {
-  struct Merged {
-    Record record;
-    std::uint32_t lane;
-    std::uint64_t cursor;
-  };
-  std::vector<Merged> merged;
-  for (std::uint32_t l = 0; l < kLaneCount; ++l) {
-    const Slot* ring = lanes_[l].ring.load(std::memory_order_acquire);
-    if (ring == nullptr) continue;
-    Record record{};
-    for (std::size_t i = 0; i < capacity_; ++i)
-      if (const auto cursor = ring[i].read(record))
-        merged.push_back(Merged{record, l, *cursor});
-  }
-  // Read after the slots: every published slot's cursor claim is counted.
-  const std::uint64_t total = recorded();
-  std::sort(merged.begin(), merged.end(),
-            [](const Merged& a, const Merged& b) {
-              return std::tie(a.record.stamp_ns, a.lane, a.cursor) <
-                     std::tie(b.record.stamp_ns, b.lane, b.cursor);
-            });
-  const std::size_t keep = std::min(merged.size(), capacity_);
-  const std::uint64_t first = total >= keep ? total - keep : 0;
+  const auto entries = ring_.snapshot();
   std::vector<TraceEvent> events;
-  events.reserve(keep);
-  for (std::size_t i = merged.size() - keep; i < merged.size(); ++i) {
-    const Record& r = merged[i].record;
-    events.push_back(TraceEvent{r.kind, first + events.size(), r.timestamp_ns,
-                                r.flow_id, r.class_index, r.src, r.dst,
-                                r.blocking_hop, r.utilization, r.reason});
-  }
+  events.reserve(entries.size());
+  for (const auto& [r, lane, seq] : entries)
+    events.push_back(TraceEvent{r.kind, seq, r.timestamp_ns, r.flow_id,
+                                r.class_index, r.src, r.dst, r.blocking_hop,
+                                r.utilization, r.reason});
   return events;
 }
 
@@ -234,12 +143,6 @@ void EventTracer::write_csv(util::CsvWriter& csv) const {
                    std::to_string(e.dst), std::to_string(e.blocking_hop), num,
                    e.reason ? e.reason : ""});
   }
-}
-
-std::int64_t EventTracer::now_ns() noexcept {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 }  // namespace ubac::telemetry

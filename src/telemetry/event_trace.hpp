@@ -1,58 +1,37 @@
 #pragma once
 
 /// \file event_trace.hpp
-/// \brief Bounded ring buffer of structured admission-control events.
+/// \brief Bounded trace of structured admission-control events.
 ///
 /// One TraceEvent per admit / reject / release / rollback decision (plus
 /// periodic kSample records from the simulator): flow id, class, endpoints,
 /// the blocking hop and the observed utilization at decision time, a static
 /// reject-reason string, and a nanosecond timestamp.
 ///
-/// Writer threads record into lanes (util::LaneClaims, the claim the
-/// admission controller's registry lanes use): a lane is a power-of-two
-/// ring of `capacity` seqlock slots (seqlock.hpp) with a lane-local
-/// cursor, allocated when the lane's first event is recorded. The first
-/// 16 writer threads alive at once each own a lane, handed back when the
-/// thread exits; the next thread to claim it continues its cursor and
-/// ring. An owner's record() takes a wall-clock record
-/// stamp (now_ns()), bumps the cursor and publishes the slot with plain
-/// and release stores (SeqlockSlot::store), so a traced decision writes
-/// no word another thread writes and runs no read-modify-write. Every
-/// later thread writes one extra overflow lane, never an owned one; there
-/// the stamp and cursor are claimed together under the lane's claim lock
-/// and slots are published by CAS (SeqlockSlot::publish), as a lane with
-/// several writers needs. On every lane cursor order is stamp order.
-/// recorded() sums the lane cursors and is exact at quiescence.
-///
-/// Record order across lanes is (record stamp, lane, cursor). The
-/// caller's `timestamp_ns` never decides it: events from other clock
-/// domains (simulator, alerts, actuator) are ordered by when they were
-/// recorded. snapshot() merges the lanes in that order, keeps the newest
-/// `capacity` and numbers them recorded() - n + i. Each lane retains its
-/// own last `capacity` events, so at sampling = 1.0 and quiescence the
-/// snapshot is exactly the last `capacity` recorded events with dense
-/// seqs ending at recorded() - 1; taken while writers are active it is
-/// best-effort (slots mid-write are skipped, so the seqs only approximate
-/// the events' positions). A seq names a position in one snapshot, not an
-/// event across snapshots. Memory is used lanes x capacity slots of 72
-/// bytes; the overflow lane's ring, like any, exists only once written.
+/// EventTracer is sampling and formatting on a LaneRing (lane_ring.hpp):
+/// a traced decision writes only the lane its thread owns, with plain and
+/// release stores, and snapshot() returns the newest `capacity` events in
+/// record order (record stamp, lane, cursor), numbered recorded() - n + i.
+/// record() stamps each event with now_ns(), which also fills a
+/// timestamp_ns of 0; the caller's `timestamp_ns` never decides order, so
+/// events from other clock domains (simulator, alerts, actuator) are
+/// ordered by when they were recorded. A seq names a position in one
+/// snapshot, not an event across snapshots. Memory is used lanes x
+/// capacity slots of 72 bytes.
 ///
 /// Sampling < 1.0 keeps a uniform random subset via geometric skipping:
 /// the gap to the next sampled event is drawn once per hit, so a
-/// sampled-out event costs one thread-local decrement — no RNG draw, no
-/// shared state. sampled_out() is credited in per-thread batches at each
-/// sampled event, so it can lag by up to one gap per thread.
+/// sampled-out event costs a thread-local decrement and an add to the
+/// thread's own sampled_out() stripe. sampled_out() is exact once the
+/// writers are ordered before the read.
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
+#include "telemetry/lane_ring.hpp"
 #include "telemetry/metrics.hpp"
-#include "telemetry/seqlock.hpp"
 #include "util/csv.hpp"
-#include "util/lane_claims.hpp"
 
 namespace ubac::telemetry {
 
@@ -98,14 +77,14 @@ class EventTracer {
   /// `capacity` is rounded up to a power of two. Throws
   /// std::invalid_argument when `sampling` is outside [0, 1].
   explicit EventTracer(std::size_t capacity, double sampling = 1.0);
-  ~EventTracer();
 
   EventTracer(const EventTracer&) = delete;
   EventTracer& operator=(const EventTracer&) = delete;
 
   /// True when the event should be recorded (Bernoulli(sampling) per
   /// call, realized as geometric gaps). Callers gate event *construction*
-  /// on this so sampled-out decisions pay only the thread-local decrement.
+  /// on this so sampled-out decisions pay only a thread-local decrement
+  /// and the add to sampled_out().
   bool should_sample() noexcept;
 
   /// Stores `ev` in the calling thread's lane, stamped with now_ns()
@@ -114,19 +93,19 @@ class EventTracer {
   /// rotation, for the colliding writer.
   void record(TraceEvent ev) noexcept;
 
-  std::size_t capacity() const noexcept { return capacity_; }
+  std::size_t capacity() const noexcept { return ring_.capacity(); }
   /// Events recorded (post-sampling), summed over the lanes; exact at
   /// quiescence.
-  std::uint64_t recorded() const noexcept;
+  std::uint64_t recorded() const noexcept { return ring_.recorded(); }
   /// Lanes holding a ring, the overflow lane included: memory is
   /// lanes_used() x capacity() slots of 72 bytes.
-  std::size_t lanes_used() const noexcept;
+  std::size_t lanes_used() const noexcept { return ring_.lanes_used(); }
   /// Events recorded on the shared overflow lane, by threads past the
   /// 16th alive at once.
   std::uint64_t overflow_recorded() const noexcept {
-    return lanes_[kOverflowLane].cursor.load(std::memory_order_relaxed);
+    return ring_.overflow_recorded();
   }
-  /// Events skipped by sampling.
+  /// Events skipped by sampling; exact at quiescence.
   std::uint64_t sampled_out() const noexcept {
     return sampled_out_.value();
   }
@@ -137,7 +116,7 @@ class EventTracer {
   std::string to_json() const;
   void write_csv(util::CsvWriter& csv) const;
 
-  static std::int64_t now_ns() noexcept;
+  static std::int64_t now_ns() noexcept { return ring_now_ns(); }
 
  private:
   /// A slot's payload: the event without its seq, plus the record stamp
@@ -154,30 +133,11 @@ class EventTracer {
     const char* reason;
     TraceEventKind kind;
   };
-  using Slot = SeqlockSlot<Record>;
+  using Slot = LaneRing<Record>::Slot;
   static_assert(sizeof(Slot) == 72);
 
-  /// One writer thread's ring. 128-byte aligned so neither a neighbouring
-  /// lane nor the adjacent-line prefetcher pulls another core's cursor.
-  struct alignas(128) Lane {
-    /// Overflow lane only: held across the stamp and cursor claims, so
-    /// cursor order is stamp order with several writers.
-    std::atomic<bool> claiming{false};
-    /// Events claimed; stored by the lane's writer, summed by recorded().
-    std::atomic<std::uint64_t> cursor{0};
-    /// capacity_ slots, allocated by the lane's first record().
-    std::atomic<Slot*> ring{nullptr};
-  };
-
-  /// Lanes 0..kLanes-1 each have one owner thread; threads past the
-  /// kLanes-th share the overflow lane.
-  static constexpr std::uint32_t kOverflowLane = util::LaneClaims::kLanes;
-  static constexpr std::size_t kLaneCount = kOverflowLane + 1;
-
-  std::size_t capacity_;
   double sampling_;
-  std::unique_ptr<Lane[]> lanes_;
-  util::LaneClaims claims_;
+  LaneRing<Record> ring_;
   /// Striped: bumped on ~every decision when sampling is low, so a single
   /// shared cell would ping-pong across cores (measured ~17% on the
   /// 8-thread admission bench; striped it is <1%).

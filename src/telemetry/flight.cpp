@@ -56,7 +56,7 @@ std::string FlightSnapshot::to_text() const {
   }
   out << "-- open spans (" << open_spans.size() << "):\n";
   for (const OpenSpanInfo& span : open_spans) {
-    out << "  thread " << span.thread << ": " << span.name << " ["
+    out << "  lane " << span.thread << ": " << span.name << " ["
         << span.category << "]";
     if (span.arg_key != nullptr) {
       std::snprintf(buf, sizeof(buf), " %s=%g", span.arg_key, span.arg_value);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <set>
 
 #include "telemetry/exporters.hpp"
 #include "util/thread_pool.hpp"
@@ -12,10 +13,20 @@ std::atomic<SpanRecorder*> SpanRecorder::g_active_{nullptr};
 
 namespace {
 
-std::size_t round_up_pow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
+/// Names the calling thread among those sharing a lane's open spans.
+std::uint64_t thread_token() noexcept {
+  static std::atomic<std::uint64_t> next{1};
+  thread_local const std::uint64_t token =
+      next.fetch_add(1, std::memory_order_relaxed);
+  return token;
+}
+
+/// The calling thread's innermost open span on `spans`, or rend().
+template <class Spans>
+auto innermost(Spans& spans) noexcept {
+  const std::uint64_t token = thread_token();
+  return std::find_if(spans.rbegin(), spans.rend(),
+                      [token](const auto& s) { return s.first == token; });
 }
 
 // util::ThreadPool cannot depend on telemetry (layering), so worker tasks
@@ -40,12 +51,7 @@ std::string fmt_us(double us) {
 }  // namespace
 
 SpanRecorder::SpanRecorder(std::size_t capacity)
-    : capacity_(round_up_pow2(capacity == 0 ? 1 : capacity)),
-      slots_(std::make_unique<Slot[]>(capacity_)),
-      epoch_ns_(now_ns()) {
-  static std::atomic<std::uint64_t> next_generation{1};
-  generation_ = next_generation.fetch_add(1, std::memory_order_relaxed);
-}
+    : ring_(capacity), epoch_ns_(now_ns()) {}
 
 SpanRecorder::~SpanRecorder() {
   if (active() == this) install(nullptr);
@@ -61,96 +67,58 @@ void SpanRecorder::install(SpanRecorder* recorder) {
   util::set_task_trace_hooks(hooks);
 }
 
-SpanRecorder::ThreadState& SpanRecorder::thread_state() {
-  // One-recorder fast path: the cache is keyed to the recorder, so a
-  // thread alternating between recorders re-registers (gets a fresh lane)
-  // on each switch. The process-wide install() pattern never does that.
-  thread_local std::uint64_t cached_generation = 0;
-  thread_local ThreadState* cached_state = nullptr;
-  if (cached_generation == generation_) return *cached_state;
-  std::lock_guard<std::mutex> lock(threads_mutex_);
-  threads_.push_back(
-      std::make_unique<ThreadState>(static_cast<std::uint32_t>(threads_.size())));
-  cached_generation = generation_;
-  cached_state = threads_.back().get();
-  return *cached_state;
-}
-
 void SpanRecorder::begin(const char* name, const char* category,
                          const char* arg_key, double arg_value) {
-  ThreadState& ts = thread_state();
-  OpenSpanInfo info;
-  info.name = name;
-  info.category = category;
-  info.thread = ts.id;
-  info.start_ns = now_ns();
-  info.arg_key = arg_key;
-  info.arg_value = arg_value;
-  std::lock_guard<std::mutex> lock(ts.mutex);
-  ts.open.push_back(info);
+  const std::uint32_t lane = ring_.lane();
+  const OpenSpanInfo info{name, category, lane, now_ns(), arg_key, arg_value};
+  OpenSpans& open = open_[lane];
+  std::lock_guard<std::mutex> lock(open.mutex);
+  open.spans.emplace_back(thread_token(), info);
 }
 
 void SpanRecorder::set_arg(const char* key, double value) {
-  ThreadState& ts = thread_state();
-  std::lock_guard<std::mutex> lock(ts.mutex);
-  if (ts.open.empty()) return;
-  ts.open.back().arg_key = key;
-  ts.open.back().arg_value = value;
+  OpenSpans& open = open_[ring_.lane()];
+  std::lock_guard<std::mutex> lock(open.mutex);
+  const auto it = innermost(open.spans);
+  if (it == open.spans.rend()) return;
+  it->second.arg_key = key;
+  it->second.arg_value = value;
 }
 
 void SpanRecorder::end() {
-  const std::int64_t end_ns = now_ns();
-  ThreadState& ts = thread_state();
+  OpenSpans& open = open_[ring_.lane()];
   OpenSpanInfo info;
   {
-    std::lock_guard<std::mutex> lock(ts.mutex);
-    if (ts.open.empty()) return;  // unbalanced end(); drop
-    info = ts.open.back();
-    ts.open.pop_back();
+    std::lock_guard<std::mutex> lock(open.mutex);
+    const auto it = innermost(open.spans);
+    if (it == open.spans.rend()) return;  // unbalanced end(); drop
+    info = it->second;
+    open.spans.erase(std::next(it).base());
   }
-  SpanEvent ev;
-  ev.name = info.name;
-  ev.category = info.category;
-  ev.thread = info.thread;
-  ev.start_ns = info.start_ns;
-  ev.duration_ns = end_ns - info.start_ns;
-  ev.arg_key = info.arg_key;
-  ev.arg_value = info.arg_value;
-  record(ev);
-}
-
-void SpanRecorder::record(const SpanEvent& ev) noexcept {
-  SpanEvent stamped = ev;
-  stamped.seq = head_.fetch_add(1, std::memory_order_acq_rel);
-  slots_[stamped.seq & (capacity_ - 1)].publish(stamped.seq, stamped);
+  ring_.record([&info](std::int64_t stamp) {
+    return Record{stamp,        info.start_ns, info.name,
+                  info.category, info.arg_key,  info.arg_value};
+  });
 }
 
 std::vector<SpanEvent> SpanRecorder::snapshot() const {
-  const std::uint64_t head = head_.load(std::memory_order_acquire);
-  const std::uint64_t n = head < capacity_ ? head : capacity_;
+  const auto entries = ring_.snapshot();
   std::vector<SpanEvent> events;
-  events.reserve(n);
-  for (std::uint64_t seq = head - n; seq < head; ++seq) {
-    SpanEvent ev;
-    // Skip a slot mid-write or already overwritten by a newer span.
-    if (slots_[seq & (capacity_ - 1)].read(ev) == seq) events.push_back(ev);
-  }
+  events.reserve(entries.size());
+  for (const auto& [r, lane, seq] : entries)
+    events.push_back(SpanEvent{r.name, r.category, lane, r.start_ns,
+                               r.stamp_ns - r.start_ns, r.arg_key,
+                               r.arg_value, seq});
   return events;
 }
 
 std::vector<OpenSpanInfo> SpanRecorder::open_spans() const {
-  std::lock_guard<std::mutex> lock(threads_mutex_);
   std::vector<OpenSpanInfo> out;
-  for (const auto& ts : threads_) {
-    std::lock_guard<std::mutex> thread_lock(ts->mutex);
-    out.insert(out.end(), ts->open.begin(), ts->open.end());
+  for (const OpenSpans& lane : open_) {
+    std::lock_guard<std::mutex> lock(lane.mutex);
+    for (const auto& span : lane.spans) out.push_back(span.second);
   }
   return out;
-}
-
-std::size_t SpanRecorder::thread_count() const {
-  std::lock_guard<std::mutex> lock(threads_mutex_);
-  return threads_.size();
 }
 
 std::int64_t span_epoch_ns(const SpanRecorder& recorder) {
@@ -207,13 +175,11 @@ void ChromeTraceWriter::add_spans(const SpanRecorder& recorder, int pid,
   add_process_name(pid, process_name);
   const std::int64_t epoch = span_epoch_ns(recorder);
   const auto spans = recorder.snapshot();
-  std::uint32_t max_thread = 0;
-  for (const SpanEvent& s : spans) max_thread = std::max(max_thread, s.thread);
-  const std::size_t lanes =
-      std::max<std::size_t>(recorder.thread_count(), max_thread + 1);
-  for (std::size_t t = 0; t < lanes; ++t)
-    add_thread_name(pid, static_cast<int>(t),
-                    t == 0 ? "main" : "worker " + std::to_string(t));
+  std::set<std::uint32_t> lanes;
+  for (const SpanEvent& s : spans) lanes.insert(s.thread);
+  for (const std::uint32_t lane : lanes)
+    add_thread_name(pid, static_cast<int>(lane),
+                    "lane " + std::to_string(lane));
   for (const SpanEvent& s : spans) {
     std::string args;
     if (s.arg_key != nullptr) {

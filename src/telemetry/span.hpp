@@ -3,37 +3,35 @@
 /// \file span.hpp
 /// \brief Low-overhead span tracing for the configuration pipeline.
 ///
-/// A SpanRecorder captures nested wall-clock spans (name, category, thread,
-/// start, duration, one optional numeric argument) into a bounded
-/// power-of-two ring: one fetch_add claims a seq, and the slot is
-/// published through the SeqlockSlot protocol EventTracer's lanes share
-/// (seqlock.hpp), so recording is safe from pool workers and the
-/// admission hot path alike. Tracing is *runtime-gated*: code is
-/// instrumented with UBAC_SPAN(...), whose disabled path is a single
-/// relaxed atomic load and branch (no recorder installed), measured to keep
-/// bench_analysis_perf within noise of the uninstrumented build.
-///
-/// Each thread additionally keeps a small stack of its currently *open*
-/// spans (guarded by a per-thread mutex the owner only touches while
-/// tracing is on), so a flight-recorder dump can say what every thread was
-/// doing when a guarantee was violated (sim/audit.hpp).
+/// A SpanRecorder captures nested wall-clock spans (name, category, lane,
+/// start, duration, one optional numeric argument) on a LaneRing
+/// (lane_ring.hpp), the ring EventTracer records into: a completed span
+/// is stamped with its end on its thread's lane, lanes are handed back
+/// when a thread exits (so pools started in waves reuse the same few),
+/// and memory is lanes used x capacity slots. A span's `thread` is its
+/// lane, not an OS thread. Each lane also lists its *open* spans under
+/// the lane's mutex, tagged with their thread, so spans nest per thread
+/// even on the shared overflow lane, and a flight-recorder dump can say
+/// what every lane was doing when a guarantee was violated
+/// (sim/audit.hpp). Tracing is *runtime-gated*: the disabled path of
+/// UBAC_SPAN(...) is one acquire load and branch.
 ///
 /// Export is Chrome trace-event JSON (the "X" complete-event flavour),
 /// loadable in Perfetto or chrome://tracing. ChromeTraceWriter is the
-/// shared sink: SpanRecorder contributes the config-pipeline lanes,
-/// EventTracer events become instant events on the same timeline, and
+/// shared sink: SpanRecorder contributes one tid per lane, EventTracer
+/// events become instant events on the same timeline, and
 /// sim::append_chrome_packet_lanes (sim/trace.hpp) adds one lane per link
 /// server so config phases and packet flow sit side by side in one file.
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "telemetry/event_trace.hpp"
-#include "telemetry/seqlock.hpp"
+#include "telemetry/lane_ring.hpp"
 
 namespace ubac::telemetry {
 
@@ -41,19 +39,19 @@ namespace ubac::telemetry {
 struct SpanEvent {
   const char* name = "";      ///< static string (never owned)
   const char* category = "";  ///< static string (never owned)
-  std::uint32_t thread = 0;   ///< dense recorder-assigned thread id
+  std::uint32_t thread = 0;   ///< the recorder lane the span ran on
   std::int64_t start_ns = 0;  ///< EventTracer::now_ns clock
   std::int64_t duration_ns = 0;
   const char* arg_key = nullptr;  ///< optional numeric argument
   double arg_value = 0.0;
-  std::uint64_t seq = 0;  ///< claim order (filled by record)
+  std::uint64_t seq = 0;  ///< position in SpanRecorder::snapshot()
 };
 
-/// A span still in progress on some thread (flight-recorder view).
+/// A span still in progress on some lane (flight-recorder view).
 struct OpenSpanInfo {
   const char* name = "";
   const char* category = "";
-  std::uint32_t thread = 0;
+  std::uint32_t thread = 0;  ///< the recorder lane the span runs on
   std::int64_t start_ns = 0;
   const char* arg_key = nullptr;
   double arg_value = 0.0;
@@ -98,51 +96,44 @@ class SpanRecorder {
 
   // -- inspection --------------------------------------------------------
 
-  std::size_t capacity() const noexcept { return capacity_; }
-  /// Completed spans recorded, total (ring keeps the last capacity()).
-  std::uint64_t recorded() const noexcept {
-    return head_.load(std::memory_order_acquire);
-  }
-  /// Retained completed spans, oldest first.
+  std::size_t capacity() const noexcept { return ring_.capacity(); }
+  /// Completed spans recorded, total (the snapshot keeps the last
+  /// capacity()); exact at quiescence.
+  std::uint64_t recorded() const noexcept { return ring_.recorded(); }
+  /// Retained completed spans, oldest (first completed) first.
   std::vector<SpanEvent> snapshot() const;
-  /// Spans currently open across all threads (best effort under churn;
-  /// exact at quiescence). Ordered by (thread, depth).
+  /// Spans currently open across all lanes (best effort under churn;
+  /// exact at quiescence). Ordered by (lane, depth).
   std::vector<OpenSpanInfo> open_spans() const;
-  /// Threads that have recorded at least one span.
-  std::size_t thread_count() const;
+  /// Lanes holding a ring: memory is lanes_used() x capacity() slots.
+  std::size_t lanes_used() const noexcept { return ring_.lanes_used(); }
 
-  static std::int64_t now_ns() noexcept { return EventTracer::now_ns(); }
+  static std::int64_t now_ns() noexcept { return ring_now_ns(); }
 
  private:
-  using Slot = SeqlockSlot<SpanEvent>;
-
-  /// Per-thread open-span stack. The owning thread pushes/pops under
-  /// `mutex`; open_spans() takes the same mutex, so the flight-recorder
-  /// view is race-free (the mutex is uncontended in steady state).
-  struct ThreadState {
-    explicit ThreadState(std::uint32_t thread_id) : id(thread_id) {}
-    std::uint32_t id;
-    mutable std::mutex mutex;
-    std::vector<OpenSpanInfo> open;
+  /// A slot's payload: a completed span, stamped with its end.
+  struct Record {
+    std::int64_t stamp_ns;
+    std::int64_t start_ns;
+    const char* name;
+    const char* category;
+    const char* arg_key;
+    double arg_value;
   };
 
-  ThreadState& thread_state();
-  void record(const SpanEvent& ev) noexcept;
+  /// One lane's open spans, oldest first, each tagged with its thread's
+  /// token: a thread's innermost span is its newest entry.
+  struct OpenSpans {
+    mutable std::mutex mutex;
+    std::vector<std::pair<std::uint64_t, OpenSpanInfo>> spans;
+  };
 
   static std::atomic<SpanRecorder*> g_active_;
 
-  std::size_t capacity_;
-  std::unique_ptr<Slot[]> slots_;
-  std::atomic<std::uint64_t> head_{0};
+  LaneRing<Record> ring_;
+  OpenSpans open_[LaneRing<Record>::kLaneCount];
   std::int64_t epoch_ns_;  ///< construction time; exporter time zero
-  /// Distinguishes recorders that reuse a freed recorder's address, so the
-  /// per-thread state cache never dereferences stale pointers.
-  std::uint64_t generation_;
 
-  mutable std::mutex threads_mutex_;
-  std::vector<std::unique_ptr<ThreadState>> threads_;
-
-  friend class ChromeTraceWriter;
   friend std::int64_t span_epoch_ns(const SpanRecorder&);
 };
 
@@ -214,8 +205,8 @@ class ChromeTraceWriter {
                          const std::string& args_json = "");
 
   /// All completed spans of `recorder` as pid `pid`, one tid per recorder
-  /// thread, plus naming metadata. Span timestamps are rebased to the
-  /// recorder's construction time.
+  /// lane holding one, plus naming metadata. Span timestamps are rebased
+  /// to the recorder's construction time.
   void add_spans(const SpanRecorder& recorder, int pid = 1,
                  const std::string& process_name = "ubac config pipeline");
 

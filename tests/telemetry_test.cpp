@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -265,6 +266,24 @@ TEST(EventTracer, SamplingOutsideTheUnitIntervalIsRefused) {
   EXPECT_NO_THROW(EventTracer(16, 1.0));
 }
 
+// Every sampled-out call is counted when it happens, so once the writers
+// have joined sampled_out() is exact, misses after a thread's last
+// sampled event included.
+TEST(EventTracer, SampledOutIsExactAfterTheWritersExit) {
+  constexpr std::size_t kThreads = 100;
+  constexpr std::uint64_t kCalls = 50;
+  EventTracer tracer(64, 0.001);
+  std::atomic<std::uint64_t> hits{0};
+  std::vector<std::thread> writers;
+  for (std::size_t t = 0; t < kThreads; ++t)
+    writers.emplace_back([&] {
+      for (std::uint64_t i = 0; i < kCalls; ++i)
+        if (tracer.should_sample()) hits.fetch_add(1);
+    });
+  for (auto& w : writers) w.join();
+  EXPECT_EQ(tracer.sampled_out(), kThreads * kCalls - hits.load());
+}
+
 TEST(EventTracer, SamplingKeepsRoughlyTheRequestedFraction) {
   EventTracer tracer(16, 0.25);
   int kept = 0;
@@ -305,14 +324,16 @@ TEST(EventTracer, JsonAndCsvCarryTheEvents) {
   std::remove(path.c_str());
 }
 
-// 24 writers on 16 lanes: the threads past the 16th share lanes. The seq
-// claim stays global and exact, and the merged quiescent snapshot is
+// 24 writers on 16 lanes, each held alive until all have recorded, so
+// none can hand its lane on to a later one: the 8 that claim last share
+// the overflow lane. The merged quiescent snapshot is
 // still exactly the last `capacity` seqs, oldest first, each once, with
 // every writer's own events in its record order.
 TEST(EventTracer, SharedLanesKeepTheLastCapacitySeqsExact) {
   constexpr std::size_t kWriters = 24;
   constexpr std::uint64_t kPerThread = 2'000;
   EventTracer tracer(256, 1.0);
+  std::latch all_done(kWriters);
   std::vector<std::thread> workers;
   for (std::size_t t = 0; t < kWriters; ++t)
     workers.emplace_back([&, t] {
@@ -322,8 +343,11 @@ TEST(EventTracer, SharedLanesKeepTheLastCapacitySeqsExact) {
         ev.timestamp_ns = 1;
         tracer.record(ev);
       }
+      all_done.arrive_and_wait();
     });
   for (auto& w : workers) w.join();
+  EXPECT_EQ(tracer.overflow_recorded(),
+            (kWriters - util::LaneClaims::kLanes) * kPerThread);
   const std::uint64_t total = kWriters * kPerThread;
   EXPECT_EQ(tracer.recorded(), total);
   const auto events = tracer.snapshot();

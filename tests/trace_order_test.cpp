@@ -100,17 +100,20 @@ TEST(TraceOrder, StampedWritersGetDenseSeqsInPerWriterOrder) {
     }
 }
 
-// 24 writers: the first 16 own a lane each, the other 8 share the
-// overflow lane. At quiescence the snapshot is still exactly the newest
-// `capacity` events. Each writer notes the clock before every record(),
-// a lower bound on that event's record stamp, so an event left out of the
-// snapshot must have been recorded no later than the oldest one kept.
+// 24 writers, each held alive until all have recorded, so none can hand
+// its lane on to a later one: the first 16 to claim own a lane each, the
+// other 8 share the overflow lane. At quiescence the snapshot
+// is still exactly the newest `capacity` events. Each writer notes the
+// clock before every record(), a lower bound on that event's record
+// stamp, so an event left out of the snapshot must have been recorded no
+// later than the oldest one kept.
 TEST(TraceOrder, OverflowLaneKeepsTheNewestCapacityExact) {
   constexpr std::size_t kWriters = 24;
   constexpr std::uint64_t kPerWriter = 2'000;
   EventTracer tracer(256, 1.0);
   std::vector<std::vector<std::int64_t>> before(
       kWriters, std::vector<std::int64_t>(kPerWriter));
+  std::latch all_done(kWriters);
   std::vector<std::thread> writers;
   for (std::size_t w = 0; w < kWriters; ++w)
     writers.emplace_back([&, w] {
@@ -120,9 +123,12 @@ TEST(TraceOrder, OverflowLaneKeepsTheNewestCapacityExact) {
         before[w][i] = EventTracer::now_ns();
         tracer.record(ev);
       }
+      all_done.arrive_and_wait();
     });
   for (auto& w : writers) w.join();
 
+  EXPECT_EQ(tracer.overflow_recorded(),
+            (kWriters - util::LaneClaims::kLanes) * kPerWriter);
   const std::uint64_t total = kWriters * kPerWriter;
   EXPECT_EQ(tracer.recorded(), total);
   const auto events = tracer.snapshot();
